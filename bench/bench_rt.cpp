@@ -37,15 +37,13 @@
 // replayable constant; tools/statcheck.py --exp25 gates the exp25.* bands.
 //
 // EXP-27 (--scaling-grid) — million-processor scale. A throughput grid over
-// n x workers x queue layout: the pointer-chasing FIFO baseline vs the
-// arena-backed SoA layout (RtConfig::arena), plus an arena run with
-// deterministic work stealing live (RtConfig::steal). Runs are
-// deterministic, so the fifo and arena rows of the same (n, workers) point
-// must agree on every counter — the bench FATALs if the layouts diverge —
-// and the arena-over-fifo throughput ratio is a pure queue-layout effect
-// that perfbench.py --exp27 gates even on a single-core host (it compares
-// two same-host runs, not parallelism). tools/statcheck.py --exp27 bands
-// the exp27.* gauges.
+// n x workers x {arena, arena_steal}: the arena-backed SoA queue layout,
+// plus a run with deterministic work stealing live (RtConfig::steal). Runs
+// are deterministic and worker-count invariant, so the rows of one n and
+// layout must agree on consumed and max load at every worker count — the
+// bench FATALs if they diverge. perfbench.py --compare gates arena tasks/sec
+// against a same-host baseline; tools/statcheck.py --exp27 bands the
+// exp27.* gauges.
 #include <algorithm>
 #include <cstdint>
 #include <memory>
@@ -162,9 +160,9 @@ int main(int argc, char** argv) {
       "crash/recovery pass (deterministic; statcheck --exp25)");
   const auto scaling_grid = cli.flag_bool(
       "scaling-grid", false,
-      "EXP-27 million-processor scale: n x workers x queue-layout "
-      "throughput grid (fifo vs arena vs arena+steal, deterministic; "
-      "perfbench --exp27 / statcheck --exp27)");
+      "EXP-27 million-processor scale: n x workers throughput grid "
+      "(arena vs arena+steal, deterministic; perfbench --exp27 / "
+      "statcheck --exp27)");
   const auto grid_n_csv = cli.flag_str(
       "grid-n", "65536,262144,1048576",
       "EXP-27 processor counts (default 2^16, 2^18, 2^20)");
@@ -698,40 +696,33 @@ int main(int argc, char** argv) {
   }
 
   // ---- EXP-27: million-processor scale (--scaling-grid) ----
-  // Deterministic throughput grid over n x workers x queue layout. The
-  // three layouts per point: the pointer-chasing FIFO baseline, the
-  // arena-backed SoA task queues (RtConfig::arena), and arena with
-  // deterministic work stealing live (RtConfig::steal). Spin work is off so
-  // the queue data path dominates; determinism makes every counter an exact
-  // replayable constant, and fifo vs arena must agree on all of them (the
-  // layouts are bit-equivalent by construction — any divergence is FATAL).
-  // The arena-over-fifo throughput ratio is the same-host queue-layout
-  // speedup perfbench.py --exp27 gates; it needs no parallelism, so the
-  // gate arms even on a single-core host.
+  // Deterministic throughput grid over n x workers x {arena, arena_steal}:
+  // the arena-backed SoA task queues, and the same with deterministic work
+  // stealing live (RtConfig::steal). Spin work is off so the queue data path
+  // dominates; determinism makes every counter an exact replayable constant
+  // that must not depend on the worker count (any divergence is FATAL).
   if (*scaling_grid) {
     util::print_banner(
         "EXP-27  million-processor scale: arena queues, batched drains, "
         "stealing");
     util::print_note("expect: identical consumed/max-load counters for the "
-                     "fifo and arena rows of each point (deterministic and "
-                     "worker-count invariant), with the arena layout ahead "
-                     "on tasks/sec; the steal rows drain dry shards from "
-                     "the canonically-ordered hottest victims");
-    util::Table gt({"n", "workers", "layout", "tasks/sec", "arena/fifo",
-                    "consumed", "max load", "steals", "arena MB"});
+                     "rows of one n and layout at every worker count "
+                     "(deterministic and worker-count invariant); the steal "
+                     "rows drain dry shards from the canonically-ordered "
+                     "hottest victims");
+    util::Table gt({"n", "workers", "layout", "tasks/sec", "consumed",
+                    "max load", "steals", "arena MB"});
     struct GridSig {
       bool set = false;
       std::uint64_t consumed = 0;
       std::uint64_t max_load = 0;
       std::uint64_t total_load = 0;
     };
-    const char* layout_names[3] = {"fifo", "arena", "arena_steal"};
+    const char* layout_names[2] = {"arena", "arena_steal"};
     for (std::uint64_t gn : util::Cli::parse_u64_list(*grid_n_csv)) {
-      GridSig nosteal_sig;  // shared by fifo + arena at every worker count
-      GridSig steal_sig;    // shared by arena_steal at every worker count
+      GridSig sigs[2];  // per layout, shared by every worker count
       for (std::uint64_t gw : util::Cli::parse_u64_list(*grid_workers_csv)) {
-        double fifo_rate = 0;
-        for (int layout = 0; layout < 3; ++layout) {
+        for (int layout = 0; layout < 2; ++layout) {
           auto model = make_model("burst", gn);
           rt::RtConfig cfg;
           cfg.n = gn;
@@ -740,8 +731,7 @@ int main(int argc, char** argv) {
           cfg.deterministic = true;
           cfg.policy = rt::RtPolicy::kNone;
           cfg.spin_work = 0;  // measure the queue path, not the payload
-          cfg.arena = layout >= 1;
-          cfg.steal.enabled = layout == 2;
+          cfg.steal.enabled = layout == 1;
           cfg.trace = rec.trace();
           rec.trace()->set_time_base(trace_window);
           trace_window += *grid_steps + 16;
@@ -751,8 +741,6 @@ int main(int argc, char** argv) {
           const double secs = std::max(run.wall_seconds(), 1e-9);
           const double rate =
               static_cast<double>(run.total_consumed()) / secs;
-          if (layout == 0) fifo_rate = rate;
-          const double ratio = fifo_rate > 0 ? rate / fifo_rate : 0.0;
           const double arena_mb =
               static_cast<double>(run.arena_bytes_used()) / (1024.0 * 1024.0);
 
@@ -761,7 +749,6 @@ int main(int argc, char** argv) {
               .cell(gw)
               .cell(layout_names[layout])
               .cell(rate, 0)
-              .cell(layout == 0 ? 1.0 : ratio, 3)
               .cell(run.total_consumed())
               .cell(run.running_max_load())
               .cell(run.steal_events())
@@ -776,20 +763,13 @@ int main(int argc, char** argv) {
               static_cast<double>(run.total_consumed());
           rec.metrics().gauge(prefix + "max_load") =
               static_cast<double>(run.running_max_load());
-          if (layout >= 1) {
-            rec.metrics().gauge(prefix + "arena_bytes") =
-                static_cast<double>(run.arena_bytes_used());
-          }
-          if (layout == 2) {
+          rec.metrics().gauge(prefix + "arena_bytes") =
+              static_cast<double>(run.arena_bytes_used());
+          if (layout == 1) {
             rec.metrics().gauge(prefix + "steal_events") =
                 static_cast<double>(run.steal_events());
             rec.metrics().gauge(prefix + "stolen_tasks") =
                 static_cast<double>(run.stolen_tasks());
-          }
-          if (layout == 1) {
-            rec.metrics().gauge("exp27.n" + std::to_string(gn) + ".w" +
-                                std::to_string(gw) + ".arena_over_fifo") =
-                ratio;
           }
 
           if (!run.conservation_holds()) {
@@ -801,7 +781,7 @@ int main(int argc, char** argv) {
                          layout_names[layout]);
             return 1;
           }
-          GridSig& sig = layout == 2 ? steal_sig : nosteal_sig;
+          GridSig& sig = sigs[layout];
           if (!sig.set) {
             sig.set = true;
             sig.consumed = run.total_consumed();
@@ -811,7 +791,7 @@ int main(int argc, char** argv) {
                      sig.max_load != run.running_max_load() ||
                      sig.total_load != run.total_load()) {
             std::fprintf(stderr,
-                         "FATAL: scaling-grid layouts diverged "
+                         "FATAL: scaling-grid worker counts diverged "
                          "(n=%llu w=%llu %s)\n",
                          static_cast<unsigned long long>(gn),
                          static_cast<unsigned long long>(gw),

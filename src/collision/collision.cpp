@@ -13,6 +13,13 @@ namespace clb::collision {
 
 namespace {
 constexpr std::uint64_t kTargetSalt = 0x636F6C6C696465ULL;  // "collide"
+constexpr std::uint64_t kGameSalt = 0x70686173656761ULL;    // "phasega"
+}  // namespace
+
+std::uint64_t phase_game_seed(std::uint64_t seed, std::uint64_t phase_index,
+                              std::uint32_t level) {
+  return rng::hash_combine(rng::hash_combine(seed, kGameSalt),
+                           rng::hash_combine(phase_index, level));
 }
 
 CollisionGame::CollisionGame(std::uint64_t n, CollisionConfig cfg)

@@ -63,6 +63,14 @@ void draw_targets(std::uint64_t n, std::uint64_t seed, std::uint64_t slot,
                   std::uint32_t requester, std::uint32_t a,
                   std::uint32_t* out_targets);
 
+/// The seed of the collision game played at tree level `level` of threshold
+/// phase `phase_index` in a run seeded `seed`. The one derivation every
+/// executor of the threshold protocol (core::ThresholdBalancer and the rt
+/// shard core) keys its games with, so their target draws agree.
+[[nodiscard]] std::uint64_t phase_game_seed(std::uint64_t seed,
+                                            std::uint64_t phase_index,
+                                            std::uint32_t level);
+
 /// The paper's round budget log2 log2 n / log2(c(a-b)) + 3 for this n and
 /// config (32 when the analysis precondition c(a-b) >= 2 fails or n < 4).
 /// cfg.max_rounds, when non-zero, overrides it.

@@ -13,7 +13,6 @@
 namespace clb::core {
 
 namespace {
-constexpr std::uint64_t kGameSalt = 0x70686173656761ULL;     // "phasega"
 constexpr std::uint64_t kPreroundSalt = 0x707265726F756EULL; // "preroun"
 }  // namespace
 
@@ -217,9 +216,8 @@ void ThresholdBalancer::run_levels(sim::Engine& engine, std::uint32_t count) {
       ++root_req_count_[node.root];
     }
 
-    const std::uint64_t game_seed = rng::hash_combine(
-        rng::hash_combine(engine.seed(), kGameSalt),
-        rng::hash_combine(open_phase_.phase_index, level));
+    const std::uint64_t game_seed = collision::phase_game_seed(
+        engine.seed(), open_phase_.phase_index, level);
     game_->set_trace_time(engine.step());
     const auto outcome = game_->run(requesters_, game_seed);
     open_phase_.collision_rounds += outcome.rounds_used;

@@ -12,16 +12,13 @@
 // arrays — so scans that need one field (load boards, weight sums) stream
 // 4-byte lanes instead of 16-byte records.
 //
-// TaskQueue is dual-mode behind RtConfig::arena:
-//   * fifo mode (default): a lazily allocated std::deque<RtTask> — exactly
-//     the pre-existing pointer-chasing FIFO, kept as the measured baseline
-//     (bench_rt --scaling-grid runs both columns; EXP-27 gates arena >= fifo
-//     throughput).
-//   * arena mode (use_arena()): the SoA ring over the shard's bump arena.
-// Both modes implement the same FIFO contract (push_back at the tail,
-// pop_front at the head, transfers extracted from the back), so ledgers,
-// counters and phase logs are bit-identical arena on or off — a property
-// test_rt_equivalence asserts rather than assumes.
+// Every runtime queue uses this layout: the shard core (rt/shard_core.hpp)
+// owns its shard's arena and grows every queue of its shard from it, and
+// the transport's state shipping rebuilds queues in an arena that lives as
+// long as they do. The FIFO contract (push_back at the tail,
+// pop_front at the head, transfers extracted from the back) matches
+// sim::FifoQueue, so ledgers, counters and phase logs are bit-identical to
+// the simulator's.
 //
 // Threading: a queue (and its arena) is owned by the shard's worker; the
 // leader's crash re-home and the main thread's deposit() run at barrier /
@@ -30,8 +27,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -82,56 +77,28 @@ class TaskArena {
   std::size_t bytes_reserved_ = 0;
 };
 
-/// FIFO task queue, dual-mode (see file header). The arena-mode ring keeps
-/// head_/tail_ as free-running counters masked on access, exactly like
+/// FIFO task queue: a power-of-two SoA ring grown from its shard's arena.
+/// head_ and tail_ are free-running counters masked on access, exactly like
 /// sim::FifoQueue, so FIFO semantics match the simulator by construction.
+/// An empty queue owns no storage, so a shard's queues construct as zeroed
+/// memory.
 class TaskQueue {
  public:
   TaskQueue() = default;
 
   TaskQueue(TaskQueue&&) = default;
   TaskQueue& operator=(TaskQueue&&) = default;
+  TaskQueue(const TaskQueue&) = delete;
+  TaskQueue& operator=(const TaskQueue&) = delete;
 
-  TaskQueue(const TaskQueue& o) { *this = o; }
-  TaskQueue& operator=(const TaskQueue& o) {
-    if (this == &o) return *this;
-    // Deep copy in the source's mode (transport state shipping copies
-    // fifo-mode processors; arena-mode copies re-bump from the same arena).
-    arena_ = o.arena_;
-    if (o.arena_) {
-      head_ = tail_ = 0;
-      mask_ = 0;
-      birth_step_ = origin_ = weight_ = birth_us_ = nullptr;
-      if (o.size() > 0) {
-        reserve_ring(o.size());
-        for (std::uint64_t i = 0; i < o.size(); ++i) push_back(o[i]);
-      }
-      deq_.reset();
-    } else {
-      deq_ = o.deq_ ? std::make_unique<std::deque<RtTask>>(*o.deq_) : nullptr;
-    }
-    return *this;
-  }
-
-  /// Switches this (empty) queue to the SoA ring over `arena`. Called once
-  /// per processor at Runtime construction when RtConfig::arena is set.
-  void use_arena(TaskArena* arena) {
-    CLB_CHECK(empty(), "use_arena requires an empty queue");
-    arena_ = arena;
-    deq_.reset();
-  }
-
-  [[nodiscard]] std::uint64_t size() const {
-    return arena_ ? tail_ - head_ : (deq_ ? deq_->size() : 0);
-  }
+  [[nodiscard]] std::uint64_t size() const { return tail_ - head_; }
   [[nodiscard]] bool empty() const { return size() == 0; }
 
-  void push_back(const RtTask& t) {
-    if (!arena_) {
-      deq()->push_back(t);
-      return;
-    }
-    if (tail_ - head_ == mask_ + 1 || birth_step_ == nullptr) grow();
+  /// `arena` is the arena of the queue's shard: the ring lives in it, so it
+  /// must outlive every use of the queue, and only the shard's owner may
+  /// grow from it.
+  void push_back(const RtTask& t, TaskArena& arena) {
+    if (tail_ - head_ == mask_ + 1 || birth_step_ == nullptr) grow(arena);
     const std::uint64_t i = tail_ & mask_;
     birth_step_[i] = t.task.birth_step;
     origin_[i] = t.task.origin;
@@ -141,7 +108,6 @@ class TaskQueue {
   }
 
   [[nodiscard]] RtTask operator[](std::uint64_t i) const {
-    if (!arena_) return (*deq_)[i];
     const std::uint64_t j = (head_ + i) & mask_;
     return RtTask{sim::Task{birth_step_[j], origin_[j], weight_[j]},
                   birth_us_[j]};
@@ -150,38 +116,23 @@ class TaskQueue {
   [[nodiscard]] RtTask front() const { return (*this)[0]; }
 
   void pop_front() {
-    if (!arena_) {
-      deq_->pop_front();
-      return;
-    }
     CLB_DCHECK(tail_ != head_, "pop_front on empty TaskQueue");
     ++head_;
   }
 
   /// Moves the newest `count` tasks (oldest-first among them, i.e. original
-  /// relative order) into `out`. Replaces the deque assign+erase idiom in
-  /// send_transfer — transfers always take from the back of the FIFO.
+  /// relative order) into `out` — transfers always take from the back of
+  /// the FIFO.
   void extract_back(std::uint64_t count, std::vector<RtTask>& out) {
     CLB_DCHECK(count <= size(), "extract_back past queue head");
     const std::uint64_t start = size() - count;
     for (std::uint64_t i = start; i < size(); ++i) out.push_back((*this)[i]);
-    if (arena_) {
-      tail_ -= count;
-    } else if (count > 0) {
-      deq_->erase(deq_->end() - static_cast<std::ptrdiff_t>(count),
-                  deq_->end());
-    }
+    tail_ -= count;
   }
 
-  void clear() {
-    if (arena_) {
-      head_ = tail_ = 0;
-    } else if (deq_) {
-      deq_->clear();
-    }
-  }
+  void clear() { head_ = tail_ = 0; }
 
-  /// Forward iteration yielding RtTask by value (both modes); supports the
+  /// Forward iteration yielding RtTask by value; supports the
   /// pre-existing `for (const rt::RtTask& t : proc.queue)` call sites — the
   /// const reference binds to the materialised temporary per iteration.
   class const_iterator {
@@ -203,24 +154,12 @@ class TaskQueue {
   [[nodiscard]] const_iterator end() const { return {this, size()}; }
 
  private:
-  std::deque<RtTask>* deq() {
-    if (!deq_) deq_ = std::make_unique<std::deque<RtTask>>();
-    return deq_.get();
-  }
-
-  void reserve_ring(std::uint64_t at_least) {
-    std::uint64_t cap = mask_ ? (mask_ + 1) * 2 : 8;
-    while (cap < at_least) cap *= 2;
-    grow_to(cap);
-  }
-
-  void grow() { reserve_ring(mask_ ? (mask_ + 1) * 2 : 8); }
-
-  void grow_to(std::uint64_t cap) {
+  void grow(TaskArena& arena) {
+    const std::uint64_t cap = mask_ ? (mask_ + 1) * 2 : 8;
     // One bump allocation for all four lanes keeps a queue's SoA arrays on
     // adjacent cache lines.
     auto* block = reinterpret_cast<std::uint32_t*>(
-        arena_->allocate(cap * 4 * sizeof(std::uint32_t)));
+        arena.allocate(cap * 4 * sizeof(std::uint32_t)));
     std::uint32_t* nb = block;
     std::uint32_t* no = block + cap;
     std::uint32_t* nw = block + 2 * cap;
@@ -242,8 +181,7 @@ class TaskQueue {
     mask_ = cap - 1;
   }
 
-  // SoA ring (arena mode). The lanes are views into arena storage.
-  TaskArena* arena_ = nullptr;
+  // SoA ring. The lanes are views into arena storage.
   std::uint32_t* birth_step_ = nullptr;
   std::uint32_t* origin_ = nullptr;
   std::uint32_t* weight_ = nullptr;
@@ -251,11 +189,6 @@ class TaskQueue {
   std::uint64_t mask_ = 0;
   std::uint64_t head_ = 0;
   std::uint64_t tail_ = 0;
-
-  // fifo mode: lazily allocated so arena-mode processors never pay the
-  // deque's eager chunk allocation (512 bytes x 2^20 procs would dwarf the
-  // arena itself).
-  std::unique_ptr<std::deque<RtTask>> deq_;
 };
 
 }  // namespace clb::rt

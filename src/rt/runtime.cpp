@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <thread>
 
 #include "analysis/bounds.hpp"
 #include "rng/dist.hpp"
@@ -15,43 +16,10 @@ namespace clb::rt {
 
 namespace {
 
-// Must match the threshold balancer's game-seed derivation bit for bit.
-constexpr std::uint64_t kGameSalt = 0x70686173656761ULL;  // "phasega"
 // rt-only stream for all-in-air scatter targets (per processor, so the
 // draw order is partition-invariant; the sim baseline draws from one global
 // stream, which no sharded runtime can reproduce — documented non-goal).
 constexpr std::uint64_t kScatterSalt = 0x727473636174ULL;  // "rtscat"
-
-constexpr std::uint32_t kMaxA = 16;  // target slots per node (key packs j in 4 bits)
-
-/// Busy work standing in for a task's compute cost. The asm constraint keeps
-/// the loop from being optimised away without touching memory.
-inline void spin(std::uint32_t iters) {
-  std::uint64_t x = 0x9E3779B97F4A7C15ULL;
-  for (std::uint32_t i = 0; i < iters; ++i) {
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-#if defined(__GNUC__) || defined(__clang__)
-    asm volatile("" : "+r"(x));
-#endif
-  }
-}
-
-bool key_less(const Message* a, const Message* b) {
-  if (a->key != b->key) return a->key < b->key;
-  return static_cast<int>(a->kind) < static_cast<int>(b->kind);
-}
-
-unsigned resolve_workers(const RtConfig& cfg) {
-  unsigned w = cfg.workers != 0
-                   ? cfg.workers
-                   : std::max(1u, std::thread::hardware_concurrency());
-  if (static_cast<std::uint64_t>(w) > cfg.n) {
-    w = static_cast<unsigned>(cfg.n);
-  }
-  return w;
-}
 
 }  // namespace
 
@@ -75,43 +43,16 @@ const char* policy_name(RtPolicy p) {
   return "?";
 }
 
-/// One query-tree node hosted at owner(proc). `slot` is the node's global
-/// index at its level (dense, ascending across workers), which keys the
-/// collision game's target draws exactly like the simulator's requesters
-/// vector index.
-struct Runtime::RtNode {
-  std::uint64_t slot = 0;
-  std::uint32_t proc = 0;
-  std::uint32_t root = 0;
-  std::uint32_t targets[kMaxA] = {};
-  std::uint32_t accepted_mask = 0;
-  std::uint32_t accept_count = 0;
-  std::uint32_t round_replies = 0;
-  bool active = false;
-  std::uint8_t pending_children = 0;
-  std::uint8_t status_nonapp = 0;
-  std::vector<std::uint32_t> accepted;  // acceptance order (round, then j)
-};
-
-/// A forwarding parent's contribution to the next level: the leader's scan
-/// assigns `base` = the global slot of child s=0.
-struct Runtime::ScanEntry {
-  std::uint64_t g = 0;  // parent slot
-  std::uint64_t base = 0;
-  std::uint32_t root = 0;
-  std::uint32_t count = 0;  // 1 or 2
-  std::uint32_t child[2] = {};
-};
-
-/// A matched (root, partner) pair awaiting its task move. Transfers are
-/// staged when the match is decided and applied after a barrier, numbered
-/// by a prefix scan over the worker shards — so the k-th transfer in
-/// (step, source) order is the same protocol event at every worker count
-/// (the drop_transfer_message victim selection relies on this).
-struct StagedTransfer {
-  std::uint32_t from = 0;
-  std::uint32_t to = 0;
-};
+unsigned resolve_workers(const RtConfig& cfg) {
+  unsigned w = cfg.workers;
+  if (w == 0) {
+    w = std::max(1u, std::thread::hardware_concurrency());
+    if (cfg.transport != Transport::kInProc) {
+      w = std::min(w, kMaxShardProcesses);
+    }
+  }
+  return static_cast<unsigned>(std::min<std::uint64_t>(w, cfg.n));
+}
 
 /// State shared by the latency fabric (RtConfig::latency >= 1): the
 /// delivery policy both fabrics derive timing from, the dist:: protocol
@@ -141,35 +82,33 @@ struct Runtime::LatencyShared {
   explicit LatencyShared(net::DeliveryPolicy p) : policy(p) {}
 };
 
-struct alignas(64) Runtime::Worker {
-  unsigned index = 0;
-  std::uint64_t begin = 0, end = 0;  // owned processor shard [begin, end)
+/// One worker thread: a shard core plus the in-process side of its exchange
+/// seam, and the state of the policies only this runtime carries.
+struct alignas(64) Runtime::Worker final : ShardCore {
+  Worker(Runtime& runtime, unsigned i)
+      : ShardCore(runtime.cfg_, *runtime.model_, i, runtime.start_tp_),
+        host(runtime) {}
+
+  void send(std::uint32_t dest_proc, Message* m) override;
+  void drain(std::vector<Message*>& out) override;
+  const Blobs& allgather(std::span<const std::uint64_t> blob) override;
+  /// A step_barrier_ crossing. With telemetry on it uses the timed variant
+  /// and books the wait into the worker's stall accounts.
+  void fence() override;
+  /// drain() variant that collects kTransfer messages into `out` instead of
+  /// applying them on arrival — the zoo policies and the steal pass sort
+  /// arrivals by sender before applying (several senders may target one
+  /// receiver, so arrival order is not canonical there).
+  void drain_collect(std::vector<Message*>& out);
+
+  Runtime& host;
   Mailbox inbox;
-
-  // Scratch.
-  std::vector<Message*> batch;
-  std::vector<RtNode> nodes, next_nodes;
-  std::vector<std::uint32_t> heavy_local;
-  std::vector<ScanEntry> scan;
-
-  // Lockstep epochs — every worker advances these at the same points of the
-  // superstep schedule, so a stamp comparison means the same thing anywhere.
-  std::uint64_t phase_epoch = 0;
-  std::uint64_t level_epoch = 0;
-  std::uint64_t round_epoch = 0;
-  std::uint64_t phase_count = 0;
-  std::uint64_t sys_load = 0;  // total system load at start of current step
-  std::uint64_t scatter_count = 0;
-
-  // Per-phase stats tracked by all workers in lockstep (leader's copy is
-  // the one that lands in RtPhaseSummary).
-  std::uint64_t ph_requests = 0;
-  std::uint32_t ph_levels = 0;
-  std::uint32_t ph_rounds = 0;
-
-  // Canonical transfer staging (both modes; see StagedTransfer).
-  std::vector<StagedTransfer> staged;
-  std::uint64_t transfer_seen = 0;  // replicated global transfer count
+  // allgather() buffers, double-buffered by parity: a worker rewrites its
+  // parity-p blob only after crossing the next allgather's barrier, which
+  // every reader of the previous parity-p exchange has reached by then.
+  std::vector<std::uint64_t> blobs[2];
+  unsigned parity = 0;
+  Blobs views;
 
   // Latency fabric state (RtConfig::latency >= 1). Each worker owns one
   // shard of the unified substrate: a net::Fabric of the messages routed to
@@ -194,35 +133,32 @@ struct alignas(64) Runtime::Worker {
   std::uint64_t seq_major = 0;
   std::uint32_t seq_minor = 0;
 
-  // Telemetry (single-writer; see obs::WorkerTelemetry). `telem` is live,
-  // `snap`/`snap_load` are the copies the snapshot emitter publishes so the
-  // leader can read a consistent view while `telem` keeps moving.
-  obs::WorkerTelemetry telem;
+  // Snapshot emitter copies: the leader reads a consistent view while
+  // `telem` keeps moving.
   obs::WorkerTelemetry snap;
   std::uint64_t snap_load = 0;
-  std::uint64_t step_stall_ns = 0;  // barrier ns within the current step
-  std::uint64_t cur_step = 0;       // step being executed (trace stamping)
 
   // Outputs, merged by the main thread after runs.
-  sim::MessageCounters msg;
-  std::uint64_t clamped = 0;
-  std::vector<LedgerEntry> ledger;
-  std::vector<LedgerEntry> dropped;  // drop_transfer_message victims
-  std::uint64_t dropped_msgs = 0;
-  std::uint64_t dropped_task_count = 0;
   std::uint64_t steal_sends = 0;  // own-victim steal batches shipped
   std::uint64_t stolen = 0;       // tasks those batches carried
   std::uint64_t steal_dups = 0;   // steal_duplicate_task clones left behind
-  stats::IntHistogram sojourn_steps, sojourn_us;
   std::uint64_t remote_pushes = 0;
   std::uint64_t self_pushes = 0;
 
   std::thread thread;
+
+ protected:
+  void before_step(std::uint64_t step) override {
+    host.process_crashes(*this, step);
+  }
+  void balance(std::uint64_t step) override;
+  void after_step(std::uint64_t step, std::uint64_t load) override;
 };
 
 Runtime::Runtime(RtConfig cfg, sim::LoadModel* model)
     : cfg_(cfg),
       model_(model),
+      map_(cfg.n, std::max(1u, resolve_workers(cfg))),
       step_barrier_(resolve_workers(cfg)),
       cmd_barrier_(resolve_workers(cfg) + 1),
       start_tp_(std::chrono::steady_clock::now()) {
@@ -236,17 +172,6 @@ Runtime::Runtime(RtConfig cfg, sim::LoadModel* model)
             "construct a transport::ProcessRuntime from this config");
   const unsigned w = resolve_workers(cfg_);
   cfg_.workers = w;
-  telemetry_ = cfg_.telemetry && obs::kTelemetryCompiled;
-  if (cfg_.policy == RtPolicy::kThreshold) {
-    CLB_CHECK(cfg_.params.n == cfg_.n,
-              "phase params must be realised for this n (PhaseParams::from_n)");
-    CLB_CHECK(cfg_.game.b >= 1 && cfg_.game.b <= 2,
-              "query trees are binary: b must be 1 or 2");
-    CLB_CHECK(cfg_.game.a >= 2 && cfg_.game.a <= kMaxA &&
-                  static_cast<std::uint64_t>(cfg_.game.a) < cfg_.n,
-              "collision fan-out a out of range");
-    CLB_CHECK(cfg_.game.c >= 1, "collision capacity c must be >= 1");
-  }
   if (cfg_.policy == RtPolicy::kAllInAir) {
     air_interval_ = cfg_.n >= 4
                         ? util::round_at_least(util::log2log2(cfg_.n), 1)
@@ -325,48 +250,30 @@ Runtime::Runtime(RtConfig cfg, sim::LoadModel* model)
   CLB_CHECK(!cfg_.steal_duplicate_task || cfg_.steal.enabled,
             "steal_duplicate_task mutates the steal pass only");
 
+  // All processors in one zeroed allocation, made (and, by member order,
+  // freed) around the workers' own: the malloc heap then keeps reusing its
+  // pages from one runtime to the next instead of trimming and re-faulting
+  // them at every construction.
   procs_.resize(cfg_.n);
-  chunk_ = cfg_.n / w;
-  extra_ = cfg_.n % w;
-  split_ = extra_ * (chunk_ + 1);
-  load_slots_[0].resize(w);
-  load_slots_[1].resize(w);
-  class_slots_.resize(w);
-  active_slots_.resize(w);
-  match_slots_.resize(w);
-  if (lat_) {
-    lat_flight_slots_.resize(w);
-    lat_stage_slots_.resize(w);
-  }
-
   workers_.reserve(w);
   for (unsigned i = 0; i < w; ++i) {
-    auto worker = std::make_unique<Worker>();
-    worker->index = i;
-    auto [b, e] = util::block_range(cfg_.n, w, i);
-    worker->begin = b;
-    worker->end = e;
+    auto worker = std::make_unique<Worker>(*this, i);
     if (lat_) {
       worker->fabric.init(lat_->policy.max_delay());
       worker->links.configure(cfg_.link, cfg_.seed, lat_->policy.max_delay());
     }
-    if (cfg_.arena) {
-      // One bump arena per shard: consecutive processors' rings come from
-      // consecutive arena bytes, so the owner's sequential step loop walks
-      // its queue storage almost linearly (see rt/arena.hpp).
-      arenas_.push_back(std::make_unique<TaskArena>());
-      for (std::uint64_t p = b; p < e; ++p) {
-        procs_[p].queue.use_arena(arenas_.back().get());
-      }
-    }
+    if (!liveness_.empty()) worker->liveness = &liveness_;
+    if (cfg_.steal.enabled) worker->dry_board = steal_dry_board_.data();
     workers_.push_back(std::move(worker));
+  }
+  for (const auto& wk : workers_) {
+    wk->procs = std::span(procs_).subspan(wk->begin, wk->end - wk->begin);
   }
   for (unsigned i = 0; i < w; ++i) {
     Worker* wp = workers_[i].get();
     wp->thread = std::thread([this, wp] {
       // Adopt the shard index as this thread's worker ID so trace events
-      // and telemetry emitted from here carry the right lane (the fix for
-      // kTransfer/kPhase* events all reporting worker 0).
+      // and telemetry emitted from here carry the right lane.
       util::ThreadPool::bind_worker_index(wp->index);
       worker_main(*wp);
     });
@@ -402,103 +309,140 @@ void Runtime::worker_main(Worker& w) {
     if (cmd_stop_) return;
     const std::uint64_t base = step_base_;
     const std::uint64_t count = cmd_steps_;
-    for (std::uint64_t s = 0; s < count; ++s) step_once(w, base + s);
+    for (std::uint64_t s = 0; s < count; ++s) w.step_once(base + s);
     cmd_barrier_.arrive_and_wait();
   }
 }
 
-unsigned Runtime::owner_of(std::uint64_t p) const {
-  if (p < split_) return static_cast<unsigned>(p / (chunk_ + 1));
-  return static_cast<unsigned>(extra_ + (p - split_) / chunk_);
-}
+// ---- the in-process exchange seam ----
 
-std::uint32_t Runtime::now_us() const {
-  return static_cast<std::uint32_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - start_tp_)
-          .count());
-}
-
-void Runtime::send(Worker& w, std::uint32_t dest_proc, Message* m) {
-  Worker& dst = *workers_[owner_of(dest_proc)];
-  if (&dst == &w) {
-    ++w.self_pushes;
+void Runtime::Worker::send(std::uint32_t dest_proc, Message* m) {
+  if (m->kind == MsgKind::kTransfer && cfg.link_loss_no_retransmit &&
+      links.mutation_lose_first_attempt(m->a, m->b)) {
+    // The lossy wire without retransmit: the payload evaporates mid-flight
+    // and NOTHING books the loss — the tasks are gone from every account,
+    // which is exactly what the conservation oracle must convict.
+    ++fab_lost_msgs;
+    delete m;
+    return;
+  }
+  Worker& dst = *host.workers_[owner_of(dest_proc)];
+  if (&dst == this) {
+    ++self_pushes;
 #if CLB_TELEMETRY_ENABLED
-    if (telemetry_) ++w.telem.enq_self;
+    if (telemetry) ++telem.enq_self;
 #endif
   } else {
-    ++w.remote_pushes;
+    ++remote_pushes;
 #if CLB_TELEMETRY_ENABLED
-    if (telemetry_) ++w.telem.enq_remote;
+    if (telemetry) ++telem.enq_remote;
 #endif
   }
   dst.inbox.push(m);
 }
 
-void Runtime::barrier(Worker& w) {
+void Runtime::Worker::fence() {
 #if CLB_TELEMETRY_ENABLED
-  if (telemetry_) {
-    const std::uint64_t ns = step_barrier_.arrive_and_wait_timed();
-    ++w.telem.barrier_waits;
-    w.telem.stall_ns += ns;
-    w.telem.stall_ns_hist.add(ns);
-    w.step_stall_ns += ns;
-    CLB_TRACE_EVENT(cfg_.trace, obs::EventKind::kBarrierWait, w.cur_step, 0, 0,
+  if (telemetry) {
+    const std::uint64_t ns = host.step_barrier_.arrive_and_wait_timed();
+    ++telem.barrier_waits;
+    telem.stall_ns += ns;
+    telem.stall_ns_hist.add(ns);
+    step_stall_ns += ns;
+    CLB_TRACE_EVENT(cfg.trace, obs::EventKind::kBarrierWait, cur_step, 0, 0,
                     ns);
     return;
   }
-#else
-  (void)w;
 #endif
-  step_barrier_.arrive_and_wait();
+  host.step_barrier_.arrive_and_wait();
 }
 
-void Runtime::apply_transfer([[maybe_unused]] Worker& w, const Message& m) {
-  RtProcessor& dst = procs_[m.b];
-  CLB_DCHECK(m.b >= w.begin && m.b < w.end, "transfer routed to wrong worker");
-  dst.tasks_received += m.payload.size();
-  for (const RtTask& t : m.payload) dst.queue.push_back(t);
+const Blobs& Runtime::Worker::allgather(std::span<const std::uint64_t> blob) {
+  blobs[parity].assign(blob.begin(), blob.end());
+  fence();
+  views.clear();
+  for (const auto& other : host.workers_) views.emplace_back(other->blobs[parity]);
+  parity ^= 1;
+  return views;
 }
 
-void Runtime::drain(Worker& w, std::vector<Message*>& out) {
+void Runtime::Worker::drain(std::vector<Message*>& out) {
   out.clear();
   // Batched drain: one detach of the whole pending chain (drain_all) instead
-  // of a per-message stub-cycling pop — FIFO order is identical, so the
-  // outputs are bit-identical to the pop() loop this replaces.
-  const std::uint64_t batch = w.inbox.drain_all([&](Message* m) {
+  // of a per-message stub-cycling pop — FIFO order is identical.
+  const std::uint64_t n_drained = inbox.drain_all([&](Message* m) {
     if (m->kind == MsgKind::kTransfer) {
       // Order-insensitive: at most one transfer reaches a given light per
       // phase (the assigned flag), so applying on drain keeps determinism.
-      apply_transfer(w, *m);
+      apply_transfer(*m);
       delete m;
       return;
     }
     out.push_back(m);
   });
 #if CLB_TELEMETRY_ENABLED
-  if (telemetry_) {
-    ++w.telem.drains;
-    w.telem.deq += batch;
-    w.telem.drain_batch_hist.add(batch);
-    CLB_TRACE_EVENT(cfg_.trace, obs::EventKind::kMailboxDrain, w.cur_step, 0, 0,
-                    batch);
+  if (telemetry) {
+    ++telem.drains;
+    telem.deq += n_drained;
+    telem.drain_batch_hist.add(n_drained);
+    CLB_TRACE_EVENT(cfg.trace, obs::EventKind::kMailboxDrain, cur_step, 0, 0,
+                    n_drained);
   }
+#else
+  (void)n_drained;
 #endif
 }
 
-void Runtime::drain_collect(Worker& w, std::vector<Message*>& out) {
+void Runtime::Worker::drain_collect(std::vector<Message*>& out) {
   out.clear();
-  const std::uint64_t batch =
-      w.inbox.drain_all([&](Message* m) { out.push_back(m); });
+  const std::uint64_t n_drained =
+      inbox.drain_all([&](Message* m) { out.push_back(m); });
 #if CLB_TELEMETRY_ENABLED
-  if (telemetry_) {
-    ++w.telem.drains;
-    w.telem.deq += batch;
-    w.telem.drain_batch_hist.add(batch);
-    CLB_TRACE_EVENT(cfg_.trace, obs::EventKind::kMailboxDrain, w.cur_step, 0, 0,
-                    batch);
+  if (telemetry) {
+    ++telem.drains;
+    telem.deq += n_drained;
+    telem.drain_batch_hist.add(n_drained);
+    CLB_TRACE_EVENT(cfg.trace, obs::EventKind::kMailboxDrain, cur_step, 0, 0,
+                    n_drained);
   }
+#else
+  (void)n_drained;
 #endif
+}
+
+// ---- the runtime's own policies around the core's step ----
+
+void Runtime::Worker::balance(std::uint64_t step) {
+  // Work stealing runs before the policy (mirrors Engine::apply_steals).
+  if (cfg.steal.enabled) host.run_steal(*this, step);
+  if (host.lat_) {
+    host.run_lat_protocol(*this, step);
+  } else if (cfg.policy == RtPolicy::kThreshold) {
+    ShardCore::balance(step);
+  } else if (cfg.policy == RtPolicy::kAllInAir &&
+             step % host.air_interval_ == 0) {
+    host.run_scatter(*this, step);
+  } else if (cfg.policy == RtPolicy::kStaleSq ||
+             cfg.policy == RtPolicy::kLocalSearch) {
+    host.run_zoo(*this, step);
+  }
+}
+
+void Runtime::Worker::after_step(std::uint64_t step, std::uint64_t load) {
+  // Snapshot emitter: publish a consistent copy behind a barrier, let the
+  // leader serialise all workers, and fence the read with a second barrier
+  // so no worker can overwrite its copy (at the next snapshot) while the
+  // leader is still reading. Plain barriers on purpose: the emitter is
+  // telemetry overhead, not a protocol stall.
+  if (!telemetry || cfg.telemetry_interval == 0 ||
+      (step + 1) % cfg.telemetry_interval != 0) {
+    return;
+  }
+  snap = telem;
+  snap_load = load;
+  host.step_barrier_.arrive_and_wait();
+  if (index == 0) host.append_snapshots(step);
+  host.step_barrier_.arrive_and_wait();
 }
 
 void Runtime::process_crashes(Worker& w, std::uint64_t step) {
@@ -506,7 +450,7 @@ void Runtime::process_crashes(Worker& w, std::uint64_t step) {
   // Without the entry barrier a fast worker could already be generating
   // into this step's queues while the leader moves them; the exit barrier
   // publishes the moves before anyone reads the re-homed queues.
-  barrier(w);
+  w.fence();
   if (w.index == 0) {
     for (const std::uint32_t c : liveness_.crashes_at(step)) {
       RtProcessor& src = procs_[c];
@@ -517,247 +461,18 @@ void Runtime::process_crashes(Worker& w, std::uint64_t step) {
         src.queue.clear();
         continue;
       }
-      RtProcessor& dst = procs_[liveness_.rehome_target(c, step)];
+      const std::uint32_t to = liveness_.rehome_target(c, step);
+      RtProcessor& dst = procs_[to];
+      TaskArena& dst_arena = workers_[map_.owner_of(to)]->arena;
       while (!src.queue.empty()) {
-        dst.queue.push_back(src.queue.front());
+        dst.queue.push_back(src.queue.front(), dst_arena);
         src.queue.pop_front();
         ++rehomed_tasks_;
       }
       ++rehomed_events_;
     }
   }
-  barrier(w);
-}
-
-void Runtime::send_transfer(Worker& w, std::uint64_t step, std::uint32_t root,
-                            std::uint32_t partner, std::uint64_t ordinal,
-                            std::uint64_t count) {
-  RtProcessor& src = procs_[root];
-  if (count == 0) return;
-  if (count > src.queue.size()) {
-    count = src.queue.size();
-    ++w.clamped;
-  }
-  auto* m = new Message;
-  m->kind = MsgKind::kTransfer;
-  m->key = root;
-  m->a = root;
-  m->b = partner;
-  m->due = step;  // latency mode: payload hops mature the same step
-  src.queue.extract_back(count, m->payload);
-  src.tasks_sent += count;
-  ++w.msg.transfers;
-  w.msg.tasks_moved += count;
-  w.ledger.push_back(LedgerEntry{step, root, partner,
-                                 static_cast<std::uint32_t>(count)});
-  CLB_TRACE_EVENT(cfg_.trace, obs::EventKind::kTransfer, step, root, partner,
-                  count);
-  if (ordinal != 0 && ordinal == cfg_.drop_transfer_message) {
-    // The broken mailbox: the sender's books all say the transfer
-    // happened, the receiver never sees it.
-    ++w.dropped_msgs;
-    w.dropped_task_count += count;
-    w.dropped.push_back(LedgerEntry{step, root, partner,
-                                    static_cast<std::uint32_t>(count)});
-    delete m;
-    return;
-  }
-  if (cfg_.link_loss_no_retransmit && lat_ &&
-      w.links.mutation_lose_first_attempt(root, partner)) {
-    // The lossy wire without retransmit: the payload evaporates mid-flight
-    // and NOTHING books the loss — the tasks are gone from every account,
-    // which is exactly what the conservation oracle must convict.
-    ++w.fab_lost_msgs;
-    delete m;
-    return;
-  }
-  send(w, partner, m);
-}
-
-void Runtime::apply_staged_transfers(Worker& w, std::uint64_t step,
-                                     std::uint64_t base, std::uint64_t total) {
-  // Canonical order: ascending source processor. Shards are contiguous, so
-  // base + local index is the transfer's global (step, source) ordinal.
-  std::sort(w.staged.begin(), w.staged.end(),
-            [](const StagedTransfer& a, const StagedTransfer& b) {
-              return a.from < b.from;
-            });
-  std::uint64_t k = 0;
-  for (const StagedTransfer& st : w.staged) {
-    send_transfer(w, step, st.from, st.to, base + (++k),
-                  cfg_.params.transfer_amount);
-  }
-  w.staged.clear();
-  w.transfer_seen += total;
-}
-
-void Runtime::step_once(Worker& w, std::uint64_t step) {
-  w.cur_step = step;
-#if CLB_TELEMETRY_ENABLED
-  std::chrono::steady_clock::time_point step_t0;
-  if (telemetry_) {
-    step_t0 = std::chrono::steady_clock::now();
-    w.step_stall_ns = 0;
-  }
-#endif
-  // Tracked unconditionally (two register adds per processor); folded into
-  // the telemetry struct once per step below.
-  std::uint64_t gen_total = 0, cons_total = 0;
-
-  // ---- crash re-home (mirrors Engine::process_crashes) ----
-  process_crashes(w, step);
-
-  // ---- generate / consume (mirrors Engine::generate_consume_block) ----
-  const std::uint64_t system_load = w.sys_load;
-  const bool steal_on = cfg_.steal.enabled;
-  for (std::uint64_t p = w.begin; p < w.end; ++p) {
-    if (steal_on) steal_dry_board_[p] = 0;  // dead procs are never dry
-    if (!liveness_.empty() && !liveness_.alive(p, step)) continue;
-    RtProcessor& proc = procs_[p];
-    const sim::StepAction act = model_->step_action(
-        cfg_.seed, p, step, proc.queue.size(), system_load);
-    for (std::uint32_t i = 0; i < act.generate; ++i) {
-      proc.queue.push_back(
-          RtTask{sim::Task{static_cast<std::uint32_t>(step),
-                           static_cast<std::uint32_t>(p), act.weight},
-                 cfg_.time_sojourn ? now_us() : 0});
-    }
-    proc.generated += act.generate;
-    gen_total += act.generate;
-    std::uint32_t c = act.consume;
-    while (c > 0 && !proc.queue.empty()) {
-      const RtTask t = proc.queue.front();
-      proc.queue.pop_front();
-      ++proc.consumed;
-      ++cons_total;
-      if (t.task.origin == p) ++proc.consumed_on_origin;
-      if (cfg_.track_sojourn) w.sojourn_steps.add(step - t.task.birth_step);
-      if (cfg_.time_sojourn) w.sojourn_us.add(now_us() - t.birth_us);
-      if (cfg_.spin_work != 0) spin(cfg_.spin_work);
-      --c;
-    }
-    // Dry = leftover consume budget (the loop invariant makes c > 0 imply
-    // an emptied queue): this processor is a steal thief this step.
-    if (steal_on && c > 0) steal_dry_board_[p] = 1;
-  }
-
-  // ---- work stealing (mirrors Engine::apply_steals) ----
-  if (steal_on) run_steal(w, step);
-
-  // ---- balancing policy ----
-  bool phase_step = false;
-  std::uint64_t scattered = 0;
-  if (lat_) {
-    run_lat_protocol(w, step);
-  } else if (cfg_.policy == RtPolicy::kThreshold &&
-             step % cfg_.params.phase_len == 0) {
-    phase_step = true;
-    run_phase(w, step);
-  } else if (cfg_.policy == RtPolicy::kAllInAir &&
-             step % air_interval_ == 0) {
-    run_scatter(w, step);
-    scattered = w.scatter_count;
-  } else if (cfg_.policy == RtPolicy::kStaleSq ||
-             cfg_.policy == RtPolicy::kLocalSearch) {
-    run_zoo(w, step);
-  }
-
-  // ---- end-of-step load reduction (the engine's refresh_load_aggregates) --
-  std::uint64_t local_load = 0, local_max = 0;
-  for (std::uint64_t p = w.begin; p < w.end; ++p) {
-    const std::uint64_t l = procs_[p].queue.size();
-    local_load += l;
-    if (l > local_max) local_max = l;
-  }
-  Slot& slot = load_slots_[step & 1][w.index];
-  slot.v0 = local_load;
-  slot.v1 = local_max;
-  slot.v2 = scattered;
-  barrier(w);
-  std::uint64_t sys = 0, mx = 0, scat = 0;
-  for (const Slot& s : load_slots_[step & 1]) {
-    sys += s.v0;
-    if (s.v1 > mx) mx = s.v1;
-    scat += s.v2;
-  }
-  w.sys_load = sys;
-  if (w.index == 0) {
-    if (mx > running_max_load_) running_max_load_ = mx;
-    if (scat > 0) ++w.msg.transfers;  // the sim baseline's one global action
-  }
-  if (phase_step) {
-    if (w.index == 0) {
-      // Compose the phase summary from the slots and per-worker heavy lists
-      // published before the load barrier; the extra barrier below keeps the
-      // other workers from mutating them until the leader is done.
-      RtPhaseSummary ps;
-      ps.phase_index = w.phase_count - 1;
-      ps.start_step = step;
-      ps.end_step = step;  // instant-fabric phases resolve within the step
-      ps.completed = true;
-      for (const auto& worker : workers_) {
-        ps.heavy_procs.insert(ps.heavy_procs.end(),
-                              worker->heavy_local.begin(),
-                              worker->heavy_local.end());
-      }
-      ps.num_heavy = ps.heavy_procs.size();
-      std::uint64_t matched = 0, light = 0;
-      for (unsigned i = 0; i < worker_count(); ++i) {
-        matched += match_slots_[i].v0;
-        light += class_slots_[i].v1;
-      }
-      ps.num_light = light;
-      ps.matched = matched;
-      ps.unmatched = ps.num_heavy - matched;
-      ps.requests = w.ph_requests;
-      ps.levels_used = w.ph_levels;
-      ps.collision_rounds = w.ph_rounds;
-      CLB_TRACE_EVENT(cfg_.trace, obs::EventKind::kPhaseEnd, step, 0, 0,
-                      ps.phase_index, ps.matched, ps.unmatched);
-      phases_.push_back(std::move(ps));
-    }
-    barrier(w);
-  }
-
-#if CLB_TELEMETRY_ENABLED
-  if (telemetry_) {
-    w.telem.generated += gen_total;
-    w.telem.consumed += cons_total;
-    if (phase_step) {
-      // Instant fabric: the phase resolved within this step (0 extra steps
-      // to drain). Latency mode records its real durations in S3 instead.
-      ++w.telem.phases;
-      w.telem.phase_steps_hist.add(0);
-    }
-    const auto step_ns = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - step_t0)
-            .count());
-    ++w.telem.steps;
-    w.telem.step_ns += step_ns;
-    w.telem.step_ns_hist.add(step_ns);
-    CLB_TRACE_EVENT(cfg_.trace, obs::EventKind::kWorkerStep, step, 0, 0,
-                    step_ns,
-                    step_ns >= w.step_stall_ns ? step_ns - w.step_stall_ns : 0);
-
-    // Snapshot emitter: publish a consistent copy behind a barrier, let the
-    // leader serialise all workers, and fence the read with a second barrier
-    // so no worker can overwrite its copy (at the next snapshot) while the
-    // leader is still reading. Plain barriers on purpose: the emitter is
-    // telemetry overhead, not a protocol stall.
-    if (cfg_.telemetry_interval != 0 &&
-        (step + 1) % cfg_.telemetry_interval == 0) {
-      w.snap = w.telem;
-      w.snap_load = local_load;
-      step_barrier_.arrive_and_wait();
-      if (w.index == 0) append_snapshots(step);
-      step_barrier_.arrive_and_wait();
-    }
-  }
-#else
-  (void)gen_total;
-  (void)cons_total;
-#endif
+  w.fence();
 }
 
 void Runtime::run_scatter(Worker& w, std::uint64_t step) {
@@ -766,12 +481,12 @@ void Runtime::run_scatter(Worker& w, std::uint64_t step) {
   // (proc, step) so the draw sequence is partition-invariant.
   std::uint64_t scattered = 0;
   for (std::uint64_t p = w.begin; p < w.end; ++p) {
-    RtProcessor& proc = procs_[p];
+    RtProcessor& pr = w.proc(p);
     rng::CounterRng rng(cfg_.seed, rng::hash_combine(kScatterSalt, p), step);
     std::uint64_t seq = 0;
-    while (!proc.queue.empty()) {
-      RtTask t = proc.queue.front();
-      proc.queue.pop_front();
+    while (!pr.queue.empty()) {
+      RtTask t = pr.queue.front();
+      pr.queue.pop_front();
       const auto target = static_cast<std::uint32_t>(rng::bounded(rng, cfg_.n));
       auto* m = new Message;
       m->kind = MsgKind::kScatter;
@@ -779,37 +494,37 @@ void Runtime::run_scatter(Worker& w, std::uint64_t step) {
       m->a = static_cast<std::uint32_t>(p);
       m->b = target;
       m->payload.push_back(t);
-      send(w, target, m);
+      w.send(target, m);
       ++seq;
     }
     scattered += seq;
   }
   w.msg.control += scattered;     // one routing message per task (as in sim)
   w.msg.tasks_moved += scattered;
-  barrier(w);
-  drain(w, w.batch);
+  w.fence();
+  w.drain(w.batch);
   if (cfg_.deterministic) {
     std::sort(w.batch.begin(), w.batch.end(), key_less);
   }
   for (Message* m : w.batch) {
     CLB_DCHECK(m->kind == MsgKind::kScatter, "unexpected message in scatter");
-    procs_[m->b].queue.push_back(m->payload[0]);
+    w.proc(m->b).queue.push_back(m->payload[0], w.arena);
     delete m;
   }
   w.batch.clear();
-  // step_once folds scatter_count into the end-of-step slot publication so
-  // the leader can count the one global balancing action.
-  w.scatter_count = scattered;
+  // The closing reduction sums this so the leader can count the one global
+  // balancing action.
+  w.balanced = scattered;
 }
 
 void Runtime::run_zoo(Worker& w, std::uint64_t step) {
   // Publish the fresh shard board: post-generation loads and liveness,
   // disjoint writes sealed by the barrier.
   for (std::uint64_t p = w.begin; p < w.end; ++p) {
-    board_[p] = static_cast<std::uint32_t>(procs_[p].queue.size());
+    board_[p] = static_cast<std::uint32_t>(w.proc(p).queue.size());
     alive_board_[p] = liveness_.alive(p, step) ? 1 : 0;
   }
-  barrier(w);
+  w.fence();
   if (cfg_.policy == RtPolicy::kStaleSq &&
       step % cfg_.stale.staleness == 0) {
     // Broadcast step: refresh own shard of the stale board; the leader
@@ -819,7 +534,7 @@ void Runtime::run_zoo(Worker& w, std::uint64_t step) {
               board_.begin() + static_cast<std::ptrdiff_t>(w.end),
               stale_board_.begin() + static_cast<std::ptrdiff_t>(w.begin));
     if (w.index == 0) w.msg.control += cfg_.n;
-    barrier(w);
+    w.fence();
   }
 
   // Replicated decisions: every worker evaluates the same pure rule on the
@@ -855,11 +570,11 @@ void Runtime::run_zoo(Worker& w, std::uint64_t step) {
   for (std::size_t i = 0; i < ds.size(); ++i) {
     const sim::Transfer& d = ds[i];
     if (d.from < w.begin || d.from >= w.end) continue;
-    ++procs_[d.from].balance_initiations;
-    send_transfer(w, step, d.from, d.to, w.transfer_seen + i + 1, d.count);
+    ++w.proc(d.from).balance_initiations;
+    w.send_transfer(step, d.from, d.to, w.transfer_seen + i + 1, d.count);
   }
   w.transfer_seen += ds.size();
-  barrier(w);
+  w.fence();
 
   // Arrivals: collect, order by sender, apply. Several senders may target
   // one receiver, so arrival order is not canonical — unlike the threshold
@@ -867,12 +582,12 @@ void Runtime::run_zoo(Worker& w, std::uint64_t step) {
   // arrival shortcut cannot be used here. The decision rule's suppression
   // (no sender is also a receiver) makes send-time pops and sorted pushes
   // reproduce the engine's schedule-order application exactly.
-  drain_collect(w, w.batch);
+  w.drain_collect(w.batch);
   std::sort(w.batch.begin(), w.batch.end(),
             [](const Message* x, const Message* y) { return x->a < y->a; });
   for (Message* m : w.batch) {
     CLB_DCHECK(m->kind == MsgKind::kTransfer, "unexpected message in zoo step");
-    apply_transfer(w, *m);
+    w.apply_transfer(*m);
     delete m;
   }
   w.batch.clear();
@@ -883,10 +598,10 @@ void Runtime::run_steal(Worker& w, std::uint64_t step) {
   // already written in place by this worker's consume loop. The barrier
   // seals all three before anyone evaluates the rule.
   for (std::uint64_t p = w.begin; p < w.end; ++p) {
-    steal_board_[p] = static_cast<std::uint32_t>(procs_[p].queue.size());
+    steal_board_[p] = static_cast<std::uint32_t>(w.proc(p).queue.size());
     steal_alive_board_[p] = liveness_.alive(p, step) ? 1 : 0;
   }
-  barrier(w);
+  w.fence();
 
   // Replicated decisions over sealed boards — the run_zoo discipline. The
   // list, and therefore the canonical transfer numbering derived from its
@@ -897,427 +612,50 @@ void Runtime::run_steal(Worker& w, std::uint64_t step) {
   for (std::size_t i = 0; i < ds.size(); ++i) {
     const sim::Transfer& d = ds[i];
     // The thief initiated this move (mirrors the engine's booking).
-    if (d.to >= w.begin && d.to < w.end) ++procs_[d.to].balance_initiations;
+    if (d.to >= w.begin && d.to < w.end) ++w.proc(d.to).balance_initiations;
     if (d.from < w.begin || d.from >= w.end) continue;
-    RtProcessor& src = procs_[d.from];
+    RtProcessor& src = w.proc(d.from);
     RtTask dup{};
     if (cfg_.steal_duplicate_task) {
       // Mutation: remember the newest task about to ship...
       dup = src.queue[src.queue.size() - 1];
     }
-    send_transfer(w, step, d.from, d.to, w.transfer_seen + i + 1, d.count);
+    w.send_transfer(step, d.from, d.to, w.transfer_seen + i + 1, d.count);
     if (cfg_.steal_duplicate_task) {
       // ... and clone it back onto the victim — the steal that copies
       // instead of moving. Conservation breaks by one task per steal;
       // nothing books it. The oracle's job to convict.
-      src.queue.push_back(dup);
+      src.queue.push_back(dup, w.arena);
       ++w.steal_dups;
     }
     ++w.steal_sends;
     w.stolen += d.count;
 #if CLB_TELEMETRY_ENABLED
-    if (telemetry_) {
+    if (w.telemetry) {
       ++w.telem.steals;
       w.telem.stolen_tasks += d.count;
     }
 #endif
   }
   w.transfer_seen += ds.size();
-  barrier(w);
+  w.fence();
 
   // Arrivals in ascending-victim order, exactly like the zoo policies (a
   // thief receives at most one batch, but sorting keeps the application
-  // order canonical regardless).
-  drain_collect(w, w.batch);
+  // order canonical regardless). The fence keeps the balancing policy's
+  // first sends (all-in-air scatters at once) out of a slower worker's
+  // still-running drain; see R2 in rt/shard_core.cpp.
+  w.drain_collect(w.batch);
+  w.fence();
   std::sort(w.batch.begin(), w.batch.end(),
             [](const Message* x, const Message* y) { return x->a < y->a; });
   for (Message* m : w.batch) {
     CLB_DCHECK(m->kind == MsgKind::kTransfer,
                "unexpected message in steal step");
-    apply_transfer(w, *m);
+    w.apply_transfer(*m);
     delete m;
   }
   w.batch.clear();
-}
-
-void Runtime::run_phase(Worker& w, std::uint64_t step) {
-  ++w.phase_epoch;
-  const std::uint64_t phase_index = w.phase_count++;
-  const core::PhaseParams& pp = cfg_.params;
-  w.ph_requests = 0;
-  w.ph_levels = 0;
-  w.ph_rounds = 0;
-
-  // Classification from post-generation loads — the balancer's begin_phase.
-  w.heavy_local.clear();
-  std::uint64_t light_count = 0;
-  for (std::uint64_t p = w.begin; p < w.end; ++p) {
-    const std::uint64_t load = procs_[p].queue.size();
-    if (load >= pp.heavy_threshold) {
-      w.heavy_local.push_back(static_cast<std::uint32_t>(p));
-      ++procs_[p].balance_initiations;
-    } else if (load <= pp.light_threshold) {
-      procs_[p].light_epoch = w.phase_epoch;
-      ++light_count;
-    }
-  }
-  class_slots_[w.index].v0 = w.heavy_local.size();
-  class_slots_[w.index].v1 = light_count;
-  barrier(w);
-
-  std::uint64_t heavy_base = 0, total_heavy = 0;
-  for (unsigned i = 0; i < worker_count(); ++i) {
-    if (i < w.index) heavy_base += class_slots_[i].v0;
-    total_heavy += class_slots_[i].v0;
-  }
-  if (w.index == 0) {
-    std::uint64_t total_light = 0;
-    for (unsigned i = 0; i < worker_count(); ++i) {
-      total_light += class_slots_[i].v1;
-    }
-    CLB_TRACE_EVENT(cfg_.trace, obs::EventKind::kPhaseBegin, step, 0, 0,
-                    phase_index, total_heavy, total_light);
-  }
-
-  // Level-1 nodes: the heavy processors themselves, slots in ascending
-  // processor order (worker order = processor order by construction).
-  w.nodes.clear();
-  for (std::size_t i = 0; i < w.heavy_local.size(); ++i) {
-    RtNode node;
-    node.slot = heavy_base + i;
-    node.proc = w.heavy_local[i];
-    node.root = w.heavy_local[i];
-    w.nodes.push_back(std::move(node));
-  }
-
-  std::uint64_t node_count = total_heavy;
-  std::uint32_t level = 0;
-  while (level < pp.tree_depth && node_count > 0) {
-    ++level;
-    node_count = run_level(w, step, phase_index, level, node_count);
-  }
-
-  std::uint64_t matched = 0;
-  for (const std::uint32_t h : w.heavy_local) {
-    if (procs_[h].matched_epoch == w.phase_epoch) ++matched;
-  }
-  match_slots_[w.index].v0 = matched;
-  // No barrier here: the end-of-step load barrier publishes these slots.
-}
-
-std::uint64_t Runtime::run_level(Worker& w, std::uint64_t step,
-                                 std::uint64_t phase_index,
-                                 std::uint32_t level,
-                                 std::uint64_t node_count) {
-  const collision::CollisionConfig& game = cfg_.game;
-  const std::uint64_t game_seed = rng::hash_combine(
-      rng::hash_combine(cfg_.seed, kGameSalt),
-      rng::hash_combine(phase_index, level));
-  ++w.level_epoch;
-  w.ph_levels = level;
-  w.ph_requests += node_count;
-
-  for (RtNode& node : w.nodes) {
-    collision::draw_targets(cfg_.n, game_seed, node.slot, node.proc, game.a,
-                            node.targets);
-    node.accepted_mask = 0;
-    node.accept_count = 0;
-    node.round_replies = 0;
-    node.active = true;
-    node.pending_children = 0;
-    node.status_nonapp = 0;
-    node.accepted.clear();
-  }
-
-  // ---- collision rounds (Figure 1) as 3-superstep exchanges ----
-  const std::uint32_t max_rounds = collision::round_bound(cfg_.n, game);
-  std::uint64_t active_total = node_count;
-  std::uint32_t round = 0;
-  while (round < max_rounds && active_total > 0) {
-    ++round;
-    ++w.round_epoch;
-
-    // R1: active requests query their not-yet-accepted targets.
-    for (const RtNode& node : w.nodes) {
-      if (!node.active) continue;
-      for (std::uint32_t j = 0; j < game.a; ++j) {
-        if (node.accepted_mask & (1u << j)) continue;
-        auto* m = new Message;
-        m->kind = MsgKind::kQuery;
-        m->key = (node.slot << 4) | j;
-        m->a = node.targets[j];
-        m->b = node.proc;
-        send(w, node.targets[j], m);
-        ++w.msg.queries;
-      }
-    }
-    barrier(w);
-
-    // R2: each queried processor counts arrivals, then accepts all or none
-    // (count-based, so no sort is needed for determinism), replying per
-    // accepted query.
-    //
-    // Every drain whose segment also *sends* must close with a barrier
-    // before the first send: without it a fast worker's replies land in a
-    // slow worker's still-draining inbox and contaminate the batch with
-    // next-exchange messages (the entry barrier only orders the *previous*
-    // segment's sends). Same pattern at L2, L3, L4 and L5 below.
-    drain(w, w.batch);
-    barrier(w);
-    for (const Message* m : w.batch) {
-      CLB_DCHECK(m->kind == MsgKind::kQuery, "unexpected message in R2");
-      RtProcessor& t = procs_[m->a];
-      if (t.incoming_epoch != w.round_epoch) {
-        t.incoming_epoch = w.round_epoch;
-        t.incoming = 0;
-      }
-      ++t.incoming;
-    }
-    for (Message* m : w.batch) {
-      RtProcessor& t = procs_[m->a];
-      if (t.decide_epoch != w.round_epoch) {
-        t.decide_epoch = w.round_epoch;
-        const std::uint32_t prior =
-            t.accept_epoch == w.level_epoch ? t.accepted_total : 0;
-        t.accepts_round =
-            t.incoming <= game.c && prior + t.incoming <= game.c;
-        if (t.accepts_round) {
-          t.accept_epoch = w.level_epoch;
-          t.accepted_total = prior + t.incoming;
-          w.msg.accepts += t.incoming;
-        }
-      }
-      if (t.accepts_round) {
-        auto* r = new Message;
-        r->kind = MsgKind::kAccept;
-        r->key = m->key;
-        r->a = m->b;  // route back to the requesting node's processor
-        send(w, m->b, r);
-      }
-      delete m;
-    }
-    w.batch.clear();
-    barrier(w);
-
-    // R3: requests collect accepts — mark reply bits first, then append in
-    // j order (the simulator's pass-3 order); >= b accepts leaves the game.
-    drain(w, w.batch);
-    for (Message* m : w.batch) {
-      CLB_DCHECK(m->kind == MsgKind::kAccept, "unexpected message in R3");
-      const std::uint64_t slot = m->key >> 4;
-      auto it = std::lower_bound(
-          w.nodes.begin(), w.nodes.end(), slot,
-          [](const RtNode& n, std::uint64_t s) { return n.slot < s; });
-      CLB_DCHECK(it != w.nodes.end() && it->slot == slot,
-                 "accept for unknown node");
-      it->round_replies |= 1u << (m->key & 15);
-      delete m;
-    }
-    w.batch.clear();
-    std::uint64_t local_active = 0;
-    for (RtNode& node : w.nodes) {
-      if (!node.active) continue;
-      if (node.round_replies != 0) {
-        for (std::uint32_t j = 0; j < game.a; ++j) {
-          if (node.round_replies & (1u << j)) {
-            node.accepted_mask |= 1u << j;
-            ++node.accept_count;
-            node.accepted.push_back(node.targets[j]);
-          }
-        }
-        node.round_replies = 0;
-      }
-      if (node.accept_count >= game.b) node.active = false;
-      if (node.active) ++local_active;
-    }
-    active_slots_[w.index].v0 = local_active;
-    barrier(w);
-    active_total = 0;
-    for (unsigned i = 0; i < worker_count(); ++i) {
-      active_total += active_slots_[i].v0;
-    }
-  }
-  w.ph_rounds += round;
-
-  // ---- children announcement (first two accepts become tree children) ----
-  for (RtNode& node : w.nodes) {
-    const auto k =
-        static_cast<std::uint8_t>(std::min<std::size_t>(node.accepted.size(), 2));
-    node.pending_children = k;
-    for (std::uint8_t s = 0; s < k; ++s) {
-      auto* m = new Message;
-      m->kind = MsgKind::kChild;
-      m->key = (node.slot << 1) | s;
-      m->a = node.accepted[s];
-      m->b = node.root;
-      m->c = node.proc;
-      send(w, node.accepted[s], m);
-    }
-  }
-  barrier(w);
-
-  // ---- applicative decision at the children (the balancer's set_assigned
-  // walk). Sorted by (g, s): the first edge in global (request, child)
-  // order reserves a still-light, still-unassigned processor — exactly the
-  // simulator's iteration order.
-  drain(w, w.batch);
-  barrier(w);  // id/status sends below; see R2
-  if (cfg_.deterministic) std::sort(w.batch.begin(), w.batch.end(), key_less);
-  for (Message* m : w.batch) {
-    CLB_DCHECK(m->kind == MsgKind::kChild, "unexpected message in L2");
-    const std::uint32_t q = m->a;
-    RtProcessor& qp = procs_[q];
-    const bool applicative = qp.light_epoch == w.phase_epoch &&
-                             qp.assigned_epoch != w.phase_epoch;
-    if (applicative) {
-      qp.assigned_epoch = w.phase_epoch;
-      auto* id = new Message;
-      id->kind = MsgKind::kId;
-      id->key = m->key;
-      id->a = m->b;  // root
-      id->b = q;
-      send(w, m->b, id);
-      ++w.msg.id_messages;
-    }
-    auto* st = new Message;
-    st->kind = MsgKind::kChildStatus;
-    st->key = m->key;
-    st->a = m->c;  // parent
-    st->b = applicative ? 1 : 0;
-    send(w, m->c, st);
-    delete m;
-  }
-  w.batch.clear();
-  barrier(w);
-
-  // ---- roots match on the first id (sorted: lowest (g, s) edge wins, as
-  // in the simulator); parents apply the sibling rule and stage forwards.
-  drain(w, w.batch);
-  barrier(w);  // transfer sends below; see R2
-  if (cfg_.deterministic) std::sort(w.batch.begin(), w.batch.end(), key_less);
-  for (Message* m : w.batch) {
-    if (m->kind == MsgKind::kId) {
-      RtProcessor& root = procs_[m->a];
-      if (root.matched_epoch != w.phase_epoch) {
-        root.matched_epoch = w.phase_epoch;
-        root.matched_partner = m->b;
-        // Stage the task move; it is applied after the scan barrier below
-        // under a canonical (step, source) numbering (see StagedTransfer).
-        w.staged.push_back(StagedTransfer{m->a, m->b});
-      }
-    } else {
-      CLB_DCHECK(m->kind == MsgKind::kChildStatus, "unexpected message in L3");
-      const std::uint64_t g = m->key >> 1;
-      auto it = std::lower_bound(
-          w.nodes.begin(), w.nodes.end(), g,
-          [](const RtNode& n, std::uint64_t s) { return n.slot < s; });
-      CLB_DCHECK(it != w.nodes.end() && it->slot == g,
-                 "status for unknown node");
-      if (m->b == 0) ++it->status_nonapp;
-    }
-    delete m;
-  }
-  w.batch.clear();
-  w.scan.clear();
-  for (RtNode& node : w.nodes) {
-    const std::uint8_t k = node.pending_children;
-    std::uint32_t forward = 0;
-    if (k == 2 && node.status_nonapp == 2) {
-      // Sibling rule: both children learn (two control messages) that
-      // neither was applicative and carry the search down.
-      w.msg.control += 2;
-      forward = 2;
-    } else if (k == 1 && node.status_nonapp == 1) {
-      forward = 1;
-    }
-    if (forward != 0) {
-      ScanEntry e;
-      e.g = node.slot;
-      e.root = node.root;
-      e.count = forward;
-      e.child[0] = node.accepted[0];
-      if (forward == 2) e.child[1] = node.accepted[1];
-      w.scan.push_back(e);
-    }
-  }
-  active_slots_[w.index].v1 = w.staged.size();
-  barrier(w);
-
-  // ---- staged transfers: every worker derives the same global numbering
-  // from the published per-worker counts (prefix over the shards), then
-  // pops and ships its own pairs. The sends land in mailboxes and are
-  // drained at the transfer drain below, after the next barrier.
-  std::uint64_t staged_base = w.transfer_seen;
-  std::uint64_t staged_total = 0;
-  for (unsigned i = 0; i < worker_count(); ++i) {
-    if (i < w.index) staged_base += active_slots_[i].v1;
-    staged_total += active_slots_[i].v1;
-  }
-  apply_staged_transfers(w, step, staged_base, staged_total);
-
-  // ---- leader scan: dense global numbering for next-level nodes. Merging
-  // the per-worker scan lists by parent slot g makes the child numbering
-  // identical for every worker count.
-  if (w.index == 0) {
-    std::vector<std::size_t> idx(worker_count(), 0);
-    std::uint64_t base = 0;
-    for (;;) {
-      std::size_t best = worker_count();
-      std::uint64_t best_g = 0;
-      for (std::size_t i = 0; i < worker_count(); ++i) {
-        Worker& other = *workers_[i];
-        if (idx[i] >= other.scan.size()) continue;
-        const std::uint64_t g = other.scan[idx[i]].g;
-        if (best == worker_count() || g < best_g) {
-          best = i;
-          best_g = g;
-        }
-      }
-      if (best == worker_count()) break;
-      ScanEntry& e = workers_[best]->scan[idx[best]++];
-      e.base = base;
-      base += e.count;
-    }
-    next_node_count_ = base;
-  }
-  barrier(w);
-
-  // ---- forward children into next-level nodes (any transfers sent while
-  // matching above are drained and applied here).
-  drain(w, w.batch);
-  CLB_DCHECK(w.batch.empty(), "only transfers may be in flight after L3");
-  barrier(w);  // forward sends below; see R2
-  for (const ScanEntry& e : w.scan) {
-    for (std::uint32_t s = 0; s < e.count; ++s) {
-      auto* m = new Message;
-      m->kind = MsgKind::kForward;
-      m->key = e.base + s;
-      m->a = e.child[s];
-      m->b = e.root;
-      send(w, e.child[s], m);
-    }
-  }
-  barrier(w);
-
-  drain(w, w.batch);
-  // The next level's queries go out with no intervening drain, so this
-  // drain too must be fenced off from them; see R2.
-  barrier(w);
-  w.next_nodes.clear();
-  for (Message* m : w.batch) {
-    CLB_DCHECK(m->kind == MsgKind::kForward, "unexpected message in L5");
-    RtNode node;
-    node.slot = m->key;
-    node.proc = m->a;
-    node.root = m->b;
-    w.next_nodes.push_back(std::move(node));
-    delete m;
-  }
-  w.batch.clear();
-  std::sort(w.next_nodes.begin(), w.next_nodes.end(),
-            [](const RtNode& a, const RtNode& b) { return a.slot < b.slot; });
-  w.nodes.swap(w.next_nodes);
-  return next_node_count_;
 }
 
 // ===========================================================================
@@ -1337,7 +675,7 @@ std::uint64_t Runtime::run_level(Worker& w, std::uint64_t step,
 //       commands staged. Sends stamped (kDeliver, recipient, k).
 //   S2  evaluate own outstanding requests (timeouts, retries, forwards),
 //       stamped (kEvaluate, (activation step, proc), k).
-//       publish {active, fab_sent, fab_delivered} and {staged, matched}.
+//       publish {active, fab_sent, fab_delivered, staged, matched}.
 //   --- barrier A ---
 //   S3  replicated phase decision: finish when drained (no active requests,
 //       nothing in flight) or overdue (forced: every worker discards its
@@ -1348,11 +686,12 @@ std::uint64_t Runtime::run_level(Worker& w, std::uint64_t step,
 //   S5  apply staged transfers in canonical (step, source) order via the
 //       published prefix counts; payload messages (due = step) carry the
 //       tasks to the partner's owner.
-//   --- barrier B ---   (leader assembles the phase-start summary here)
+//   --- barrier B ---   (carries the S4 classification; the leader
+//                        assembles the phase-start summary from it)
 //   S6  drain own mailbox: apply due-now payloads, file everything else
 //       into the fabric by due step.
 //
-// The closing load-reduction barrier in step_once seals the step: messages
+// The shard core's closing reduction seals the step: messages
 // sent in S1/S2/S4 were all filed by their owner in S6, so the next step's
 // S1 sees a complete, quiescent fabric.
 // ===========================================================================
@@ -1389,9 +728,9 @@ void Runtime::lat_send(Worker& w, std::uint64_t step, Message* m) {
     d->due = plan.dup_due;
     ++w.fab_sent;  // the clone matures too; drain detection stays exact
     ++w.dup_applied;
-    send(w, route, d);
+    w.send(route, d);
   }
-  send(w, route, m);
+  w.send(route, m);
 }
 
 void Runtime::lat_send_pending_queries(Worker& w, std::uint64_t step,
@@ -1500,7 +839,7 @@ void Runtime::lat_process_due(Worker& w, std::uint64_t step) {
           break;
         }
         case MsgKind::kId: {
-          RtProcessor& root = procs_[recipient];
+          RtProcessor& root = w.proc(recipient);
           if (root.matched_epoch != w.phase_epoch) {
             root.matched_epoch = w.phase_epoch;
             root.matched_partner = m->from;
@@ -1521,7 +860,7 @@ void Runtime::lat_process_due(Worker& w, std::uint64_t step) {
           ++w.msg.control;
           break;
         case MsgKind::kTransferCmd:
-          w.staged.push_back(StagedTransfer{m->from, m->to});
+          w.staged.push_back(ShardCore::StagedTransfer{m->from, m->to});
           break;
         default:
           CLB_DCHECK(false, "unexpected message kind in latency drain");
@@ -1532,7 +871,7 @@ void Runtime::lat_process_due(Worker& w, std::uint64_t step) {
       // Collision rule: answer all queries of this step iff they fit within
       // the remaining per-phase capacity c; otherwise answer none (the
       // requesters time out and retry).
-      RtProcessor& tp = procs_[recipient];
+      RtProcessor& tp = w.proc(recipient);
       const std::uint32_t already =
           tp.accept_epoch == w.phase_epoch ? tp.accepted_total : 0;
       const std::size_t count = w.query_batch.size();
@@ -1633,7 +972,7 @@ void Runtime::lat_discard_undelivered(Worker& w) {
 #if CLB_TELEMETRY_ENABLED
     // Book the pop so enqueue == dequeue stays an invariant (messages filed
     // into rings were already counted at their lat_drain_and_file pop).
-    if (telemetry_) ++w.telem.deq;
+    if (w.telemetry) ++w.telem.deq;
 #endif
     delete m;
   }
@@ -1647,7 +986,7 @@ void Runtime::lat_drain_and_file(Worker& w, std::uint64_t step) {
       // Due-now payload: the partner's owner appends the tasks, closing the
       // move the source's owner started in S5 this step.
       CLB_DCHECK(m->due == step, "stale transfer payload");
-      apply_transfer(w, *m);
+      w.apply_transfer(*m);
       delete m;
       continue;
     }
@@ -1655,7 +994,7 @@ void Runtime::lat_drain_and_file(Worker& w, std::uint64_t step) {
     w.fabric.file(step, m->due, m);
   }
 #if CLB_TELEMETRY_ENABLED
-  if (telemetry_) {
+  if (w.telemetry) {
     ++w.telem.drains;
     w.telem.deq += batch;
     w.telem.drain_batch_hist.add(batch);
@@ -1672,43 +1011,41 @@ void Runtime::run_lat_protocol(Worker& w, std::uint64_t step) {
   lat_process_due(w, step);
   lat_evaluate(w, step);
 
-  // Publish the replicated decision inputs and per-phase tallies.
-  Slot& fs = lat_flight_slots_[w.index];
-  fs.v0 = w.lat_active.size();
-  fs.v1 = w.fab_sent;
-  fs.v2 = w.fab_delivered;
+  // Barrier A publishes the replicated decision inputs and per-phase
+  // tallies: [active requests, fabric sent, fabric delivered, staged
+  // transfers, matched heavy].
   std::uint64_t matched_local = 0;
   for (const std::uint32_t h : w.heavy_local) {
-    if (procs_[h].matched_epoch == w.phase_epoch) ++matched_local;
+    if (w.proc(h).matched_epoch == w.phase_epoch) ++matched_local;
   }
-  Slot& ss = lat_stage_slots_[w.index];
-  ss.v0 = w.staged.size();
-  ss.v1 = matched_local;
-  barrier(w);  // barrier A
+  const std::uint64_t mine[5] = {w.lat_active.size(), w.fab_sent,
+                                 w.fab_delivered, w.staged.size(),
+                                 matched_local};
+  const Blobs& flight = w.allgather(mine);  // barrier A
 
   // S3: the replicated phase decision — every worker computes the same
-  // totals from the published slots, so every worker takes the same branch.
+  // totals from the published blobs, so every worker takes the same branch.
   std::uint64_t active_total = 0, sent = 0, delivered = 0;
   std::uint64_t staged_total = 0, staged_base = w.transfer_seen;
   std::uint64_t matched_total = 0;
   for (unsigned i = 0; i < worker_count(); ++i) {
-    active_total += lat_flight_slots_[i].v0;
-    sent += lat_flight_slots_[i].v1;
-    delivered += lat_flight_slots_[i].v2;
-    staged_total += lat_stage_slots_[i].v0;
-    if (i < w.index) staged_base += lat_stage_slots_[i].v0;
-    matched_total += lat_stage_slots_[i].v1;
+    active_total += flight[i][0];
+    sent += flight[i][1];
+    delivered += flight[i][2];
+    staged_total += flight[i][3];
+    if (i < w.index) staged_base += flight[i][3];
+    matched_total += flight[i][4];
   }
 #if CLB_TELEMETRY_ENABLED
   // Fabric depth sampling. The totals are replicated (every worker computes
   // the same sums), so only the leader records them — merging would multiply
   // the sums by the worker count.
-  if (telemetry_ && w.index == 0) {
-    const std::uint64_t flight = sent - delivered;
-    if (flight > w.telem.fabric_max_in_flight) {
-      w.telem.fabric_max_in_flight = flight;
+  if (w.telemetry && w.index == 0) {
+    const std::uint64_t in_flight = sent - delivered;
+    if (in_flight > w.telem.fabric_max_in_flight) {
+      w.telem.fabric_max_in_flight = in_flight;
     }
-    w.telem.fabric_flight_sum += flight;
+    w.telem.fabric_flight_sum += in_flight;
     ++w.telem.fabric_flight_samples;
   }
 #endif
@@ -1720,7 +1057,7 @@ void Runtime::run_lat_protocol(Worker& w, std::uint64_t step) {
 #if CLB_TELEMETRY_ENABLED
       // Replicated branch: every worker records the (identical) phase
       // duration, keeping `phases` a lockstep per-worker count.
-      if (telemetry_) {
+      if (w.telemetry) {
         ++w.telem.phases;
         w.telem.phase_steps_hist.add(step - w.lat_phase_start);
       }
@@ -1733,7 +1070,7 @@ void Runtime::run_lat_protocol(Worker& w, std::uint64_t step) {
         lat_discard_undelivered(w);
       }
       if (w.index == 0) {
-        RtPhaseSummary& ps = phases_.back();
+        RtPhaseSummary& ps = w.phases.back();
         ps.end_step = step;
         ps.matched = matched_total;
         ps.unmatched = ps.num_heavy - matched_total;
@@ -1747,14 +1084,17 @@ void Runtime::run_lat_protocol(Worker& w, std::uint64_t step) {
       if (forced) {
         // Fence the discards from the payload sends of S5: a replicated
         // branch, so either every worker arrives here or none does.
-        barrier(w);
+        w.fence();
       }
     }
   }
 
   // S4: start a phase. Classification reads the queues before this step's
   // transfers are applied — the engine's balancer sees exactly that state.
-  if (!w.lat_running && step >= w.lat_next_phase) {
+  // Barrier B carries [light count, heavy procs...] on a phase-start step.
+  std::vector<std::uint64_t> classes;
+  const bool phase_start = !w.lat_running && step >= w.lat_next_phase;
+  if (phase_start) {
     ++w.phase_epoch;
     ++w.lat_phase_index;
     w.lat_running = true;
@@ -1763,17 +1103,18 @@ void Runtime::run_lat_protocol(Worker& w, std::uint64_t step) {
     w.heavy_local.clear();
     std::uint64_t light_count = 0;
     for (std::uint64_t p = w.begin; p < w.end; ++p) {
-      const std::uint64_t load = procs_[p].queue.size();
+      RtProcessor& pr = w.proc(p);
+      const std::uint64_t load = pr.queue.size();
       if (load >= pp.heavy_threshold) {
         w.heavy_local.push_back(static_cast<std::uint32_t>(p));
-        ++procs_[p].balance_initiations;
+        ++pr.balance_initiations;
       } else if (load <= pp.light_threshold) {
-        procs_[p].light_epoch = w.phase_epoch;
+        pr.light_epoch = w.phase_epoch;
         ++light_count;
       }
     }
-    class_slots_[w.index].v0 = w.heavy_local.size();
-    class_slots_[w.index].v1 = light_count;
+    classes.push_back(light_count);
+    classes.insert(classes.end(), w.heavy_local.begin(), w.heavy_local.end());
     for (const std::uint32_t h : w.heavy_local) {
       w.seq_stage = net::SendStage::kPhaseStart;
       w.seq_major = h;
@@ -1783,29 +1124,23 @@ void Runtime::run_lat_protocol(Worker& w, std::uint64_t step) {
   }
 
   // S5: apply this step's staged transfers under the canonical numbering.
-  apply_staged_transfers(w, step, staged_base, staged_total);
-  barrier(w);  // barrier B
+  w.apply_staged_transfers(step, staged_base, staged_total);
+  const Blobs& started = w.allgather(classes);  // barrier B
 
-  if (w.index == 0 && w.lat_running && w.lat_phase_start == step) {
+  if (w.index == 0 && phase_start) {
     // Leader assembles the phase-start summary from the classification
-    // slots and heavy lists published before barrier B. No worker mutates
-    // them again before the next phase start, which is behind barrier A of
-    // a later step — the leader is long done by then.
+    // blobs.
     RtPhaseSummary ps;
     ps.phase_index = w.lat_phase_index;
     ps.start_step = step;
-    std::uint64_t total_light = 0;
-    for (unsigned i = 0; i < worker_count(); ++i) {
-      const Worker& other = *workers_[i];
-      ps.heavy_procs.insert(ps.heavy_procs.end(), other.heavy_local.begin(),
-                            other.heavy_local.end());
-      total_light += class_slots_[i].v1;
+    for (const std::span<const std::uint64_t> b : started) {
+      ps.num_light += b[0];
+      ps.heavy_procs.insert(ps.heavy_procs.end(), b.begin() + 1, b.end());
     }
     ps.num_heavy = ps.heavy_procs.size();
-    ps.num_light = total_light;
     CLB_TRACE_EVENT(cfg_.trace, obs::EventKind::kPhaseBegin, step, 0, 0,
                     ps.phase_index, ps.num_heavy, ps.num_light);
-    phases_.push_back(std::move(ps));
+    w.phases.push_back(std::move(ps));
   }
 
   // S6: drain the mailbox — apply due-now payloads, file the rest.
@@ -1813,6 +1148,14 @@ void Runtime::run_lat_protocol(Worker& w, std::uint64_t step) {
 }
 
 // ---- main-thread aggregation ----
+
+std::uint64_t Runtime::running_max_load() const {
+  return workers_[0]->running_max;
+}
+
+const std::vector<RtPhaseSummary>& Runtime::phases() const {
+  return workers_[0]->phases;
+}
 
 std::uint64_t Runtime::total_load() const {
   std::uint64_t s = 0;
@@ -1927,7 +1270,7 @@ std::uint64_t Runtime::steal_dup_tasks() const {
 
 std::uint64_t Runtime::arena_bytes_used() const {
   std::uint64_t s = 0;
-  for (const auto& a : arenas_) s += a->bytes_used();
+  for (const auto& w : workers_) s += w->arena.bytes_used();
   return s;
 }
 
@@ -2046,7 +1389,9 @@ std::uint64_t Runtime::self_pushes() const {
 
 void Runtime::deposit(std::uint32_t p, sim::Task t) {
   CLB_CHECK(p < cfg_.n, "deposit target out of range");
-  procs_[p].queue.push_back(RtTask{t, cfg_.time_sojourn ? now_us() : 0});
+  Worker& owner = *workers_[map_.owner_of(p)];
+  procs_[p].queue.push_back(RtTask{t, cfg_.time_sojourn ? owner.now_us() : 0},
+                            owner.arena);
   ++deposited_;
 }
 

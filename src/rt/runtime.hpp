@@ -1,34 +1,22 @@
 // The concurrent runtime: the paper's protocol on real worker threads.
 //
 // Shared-nothing design: the n logical processors are split into contiguous
-// groups, each owned by one worker thread (util::block_range, so worker
-// order = ascending processor order). Workers exchange protocol messages
-// through lock-free MPSC mailboxes and advance in supersteps separated by a
-// util::PhaseBarrier — messages sent in one superstep are drained at the
-// start of the next, and there is no global lock anywhere on the hot path.
+// shards, each owned by one worker thread running one rt::ShardCore (see
+// rt/shard_core.hpp for the step schedule and the determinism contract).
+// Workers implement the core's exchange seam in one address space: send()
+// pushes to the owner's lock-free MPSC mailbox, allgather() is a
+// util::PhaseBarrier crossing over per-worker blob buffers double-buffered
+// by parity, and fence() is a plain crossing. There is no global lock
+// anywhere on the hot path.
 //
-// One runtime step executes the same schedule as sim::Engine::step_once:
-// generate/consume over the own shard (identical code path, identical
-// per-processor Philox streams), then the balancing policy as message
-// exchanges — for the threshold balancer on a phase boundary: classify
-// heavy/light from post-generation loads, run the query tree level by level
-// (each collision round = query superstep, accept superstep, collect
-// superstep), deliver id messages to roots, move T/4 tasks per match — then
-// one closing barrier that doubles as the total-load reduction (each worker
-// publishes its shard load to a padded slot; everyone sums all slots, which
-// reproduces the engine's start-of-step system_load snapshot).
-//
-// Determinism contract (RtConfig::deterministic): drained batches whose
-// processing order matters (child assignment, id matching, scatter arrival)
-// are sorted by the message's canonical key before processing. Those keys
-// encode protocol positions (global node slots, tree edges (g, s)), and the
-// global node numbering is computed by leader-assisted prefix scans over the
-// per-worker counts — so the order is partition-invariant and a run is
-// bit-for-bit reproducible for ANY worker count, matching sim::Engine with
-// the same seed (heavy/light classifications, transfer ledger, message
-// counters; verified by test_rt_equivalence). Free-running mode skips the
-// sorts (arrival order wins), attaches spin-work to each consumed task so
-// "consume" costs real CPU, and measures wall-clock throughput and sojourn.
+// On top of the core's instant threshold schedule the runtime adds the
+// policies only it carries: the latency fabric (the dist:: protocol over
+// per-worker delay queues), all-in-air scatter, the workload-zoo baselines,
+// deterministic work stealing, crash re-homing, telemetry snapshots and the
+// fault-injection hooks. Free-running mode (deterministic = false) skips
+// the canonical sorts (arrival order wins), attaches spin-work to each
+// consumed task so "consume" costs real CPU, and measures wall-clock
+// throughput and sojourn.
 #pragma once
 
 #include <atomic>
@@ -36,232 +24,13 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "baselines/local_search.hpp"
-#include "baselines/stale_shortest_queue.hpp"
-#include "collision/collision.hpp"
-#include "core/liveness.hpp"
-#include "core/params.hpp"
-#include "net/delivery.hpp"
-#include "net/fabric.hpp"
-#include "net/topology.hpp"
-#include "obs/telemetry.hpp"
-#include "obs/trace.hpp"
-#include "rt/arena.hpp"
-#include "rt/mailbox.hpp"
-#include "sim/counters.hpp"
-#include "sim/model.hpp"
-#include "sim/steal.hpp"
-#include "stats/histogram.hpp"
+#include "rt/config.hpp"
+#include "rt/shard_core.hpp"
 #include "util/thread_pool.hpp"
 
 namespace clb::rt {
-
-enum class RtPolicy {
-  kNone,         ///< no balancing; the scaling baseline
-  kThreshold,    ///< the paper's threshold balancer (atomic phases, defaults)
-  kAllInAir,     ///< periodic global scatter (Concluding Remarks baseline)
-  kStaleSq,      ///< stale shortest-queue (periodic load broadcasts)
-  kLocalSearch,  ///< randomized pairwise local search (arXiv:1706.09997)
-};
-
-[[nodiscard]] const char* policy_name(RtPolicy p);
-
-/// Message substrate selection. kInProc is this runtime's native mode
-/// (threads + mailboxes in one address space). kUds/kTcp request the
-/// cross-process transport: rt::Runtime itself refuses them — construct a
-/// transport::ProcessRuntime from the same RtConfig instead (it forks one
-/// process per shard and speaks the frame codec over Unix-domain or
-/// loopback-TCP sockets; see src/transport/).
-enum class Transport : std::uint8_t { kInProc, kUds, kTcp };
-
-[[nodiscard]] const char* transport_name(Transport t);
-
-struct RtConfig {
-  std::uint64_t n = 1024;
-  std::uint64_t seed = 1;
-  /// Worker threads; 0 = hardware_concurrency, clamped to n.
-  unsigned workers = 1;
-  /// Sequenced message delivery + canonical tie-breaks (see file header).
-  bool deterministic = true;
-  /// Which substrate carries the protocol (see Transport). This runtime
-  /// only executes kInProc; the socket transports are selected through
-  /// transport::ProcessRuntime, which consumes the same config.
-  Transport transport = Transport::kInProc;
-  RtPolicy policy = RtPolicy::kThreshold;
-  /// Realised phase parameters; required (from_n) when policy==kThreshold.
-  core::PhaseParams params{};
-  collision::CollisionConfig game{};
-  /// Iterations of register-churn work per consumed task (free-running mode;
-  /// 0 = consume is just the queue pop, as in the simulator).
-  std::uint32_t spin_work = 0;
-  /// Record step-counted sojourn (consume step - birth step) per task.
-  bool track_sojourn = false;
-  /// Record wall-clock sojourn in microseconds per task (one steady_clock
-  /// read per generated and consumed task; meant for free-running benches).
-  bool time_sojourn = false;
-  /// Optional trace sink (borrowed); emits kPhaseBegin/kPhaseEnd/kTransfer.
-  obs::TraceSink* trace = nullptr;
-  /// Test-only fault injection: silently drop the k-th kTransfer message
-  /// (1-based; 0 = off). The sender's side-effects (pop, counters, ledger)
-  /// stay — exactly the "broken mailbox" a conservation oracle must convict.
-  /// The ordinal counts transfers in canonical (step, source processor)
-  /// order — transfers are staged per superstep and numbered by a prefix
-  /// scan over the worker shards — so the chosen victim is identical for
-  /// every worker count (see dropped_log()). Free-running mode keeps the
-  /// same numbering; only WHICH partner a root matched may differ there.
-  std::uint64_t drop_transfer_message = 0;
-  /// Message latency in steps (0 = the idealised instant fabric of PR 4).
-  /// With latency >= 1 the runtime executes the dist:: protocol over
-  /// per-worker delay queues: a message sent in superstep t is only
-  /// drainable at superstep t + delay(src, dst), with the delay coming
-  /// from the same net::DeliveryPolicy dist::Network uses (uniform, or
-  /// per-hop routing when `topology` is set). Requires policy kThreshold
-  /// and game.a <= 8 (the dist protocol's fan-out cap).
-  std::uint32_t latency = 0;
-  /// Optional machine graph for per-hop routing (borrowed; must outlive
-  /// the runtime). Latency mode only.
-  const net::Topology* topology = nullptr;
-  /// Link-model knobs (heterogeneous per-link jitter, bandwidth caps,
-  /// loss + retransmit), keyed off `seed` — the exact same net::LinkModel
-  /// dist::Network runs, sharded per worker. Latency mode only; defaults
-  /// are the uniform/lossless degenerate case.
-  net::NetConfig link{};
-  /// Idle steps between phase completion and the next classification
-  /// (latency mode; must be >= 1, as in dist::DistConfig).
-  std::uint64_t phase_gap = 1;
-  /// Failsafe phase duration; 0 derives the dist:: bound from depth, the
-  /// Lemma 1 round budget and the latency.
-  std::uint64_t max_phase_steps = 0;
-  /// Test-only fault injection (latency mode): deliver the k-th fabric
-  /// message (1-based send order; 0 = off) one superstep EARLY — a fabric
-  /// that violates the delivery-time contract. No-op when the victim's
-  /// delay is already 1. The ordinal counts sends in arrival order across
-  /// workers, so pin workers = 1 for a replayable victim (the fuzzer's
-  /// delay-skew scenarios do).
-  std::uint64_t delay_skew_message = 0;
-  /// Test-only fault injection (latency mode, lossy link): when the link
-  /// model would lose a transfer payload's first attempt, drop the message
-  /// outright instead of retransmitting — tasks vanish from the system
-  /// without a dropped_tasks booking, exactly what the conservation oracle
-  /// must convict (the link-loss-no-retransmit mutation).
-  bool link_loss_no_retransmit = false;
-  /// Test-only fault injection (latency mode, lossy link): materialise the
-  /// suppressed ack-loss duplicate of every transfer command instead of
-  /// counting it — the transfer applies twice, diverging the ledger and the
-  /// queues from the dist shadow (the dup-delivery mutation).
-  bool dup_delivery = false;
-  /// Stale shortest-queue knobs (policy == kStaleSq). Instant fabric only.
-  baselines::StaleSqConfig stale{};
-  /// Local-search knobs (policy == kLocalSearch). Instant fabric only.
-  baselines::LocalSearchConfig ls{};
-  /// Crash/recovery schedule: at the start of each listed step the crashed
-  /// processor's queue is re-homed (FIFO order, nearest alive processor
-  /// scanning upward — see core::LivenessSchedule) by the leader worker
-  /// behind a pair of barriers, and while down the processor neither
-  /// generates, consumes, nor participates in balancing. Requires a
-  /// liveness-aware policy (kNone, kStaleSq or kLocalSearch) on the instant
-  /// fabric; the schedule is configuration, not randomness, so lockstep
-  /// bit-identity against sim::Engine survives the crash.
-  std::vector<core::CrashEvent> crashes;
-  /// Test-only fault injection: a crashed processor's queue is *cleared*
-  /// instead of re-homed, with no booking anywhere — the orphaned tasks
-  /// vanish from every account, exactly what the conservation oracle must
-  /// convict (the crash-lose-queue mutation).
-  bool crash_lose_queue = false;
-  /// Test-only fault injection (policy kStaleSq): the decision rule secretly
-  /// reads the *fresh* load board instead of the stale broadcast snapshot —
-  /// a baseline quietly enjoying information it should not have. Counters
-  /// stay self-consistent; only the engine lockstep shadow (which plays the
-  /// honest rule) can convict it (the stale-free-lunch mutation).
-  bool stale_read_fresh = false;
-  /// Cache-conscious queue layout (see rt/arena.hpp): per-worker bump
-  /// arenas holding each shard's queues as SoA rings, replacing the
-  /// pointer-chasing per-queue std::deque. Pure layout change — ledgers,
-  /// counters and phase logs are bit-identical on or off (asserted by
-  /// test_rt_equivalence's arena grid).
-  bool arena = false;
-  /// Deterministic work stealing (see sim/steal.hpp): when a processor's
-  /// consume budget outlives its queue inside a step, it steals a batch
-  /// from the most-loaded processor via the pure shared decision rule,
-  /// replicated from sealed load/dry boards on every worker — the same
-  /// worker-count-invariant ordinal discipline as drop_transfer_message.
-  /// Instant fabric only; off by default so all lockstep tiers that predate
-  /// it are untouched.
-  sim::StealConfig steal{};
-  /// Test-only fault injection (steal.enabled): the steal *clones* one task
-  /// of every stolen batch instead of moving it — the task runs on the
-  /// thief while a copy stays on the victim, breaking conservation exactly
-  /// the way a buggy steal would (the steal-duplicate-task mutation; the
-  /// conservation/ledger oracle must convict it).
-  bool steal_duplicate_task = false;
-  /// Per-worker hot-path telemetry (obs::WorkerTelemetry): superstep and
-  /// barrier timing, mailbox traffic, drain batch sizes. Observation only —
-  /// deterministic outputs are bit-identical on or off. Ignored (forced
-  /// false) when the binary was built with -DCLB_TELEMETRY=OFF.
-  bool telemetry = false;
-  /// Snapshot emitter: every `telemetry_interval` steps the leader appends
-  /// one JSONL line per worker (cumulative counters + shard load) to
-  /// telemetry_jsonl(). 0 = no snapshots. Requires `telemetry`.
-  std::uint64_t telemetry_interval = 0;
-  /// Tag stamped into every snapshot line, so benches can concatenate the
-  /// timelines of several runs into one file and still group them.
-  std::string telemetry_tag;
-};
-
-/// One applied transfer, for cross-validation against the simulator.
-struct LedgerEntry {
-  std::uint64_t step = 0;
-  std::uint32_t from = 0;
-  std::uint32_t to = 0;
-  std::uint32_t count = 0;
-};
-
-/// Per-phase record the leader worker assembles (threshold policy).
-/// Instant mode: phases are single-step, end_step == start_step. Latency
-/// mode: phases span steps (duration = end_step - start_step), directly
-/// comparable against dist::DistPhaseRecord.
-struct RtPhaseSummary {
-  std::uint64_t phase_index = 0;
-  std::uint64_t start_step = 0;
-  std::uint64_t end_step = 0;
-  std::uint64_t num_heavy = 0;
-  std::uint64_t num_light = 0;
-  std::uint64_t matched = 0;    ///< heavy roots that found a light partner
-  std::uint64_t unmatched = 0;
-  std::uint64_t requests = 0;   ///< collision-game requests over all levels
-  std::uint32_t levels_used = 0;
-  std::uint32_t collision_rounds = 0;
-  bool forced = false;          ///< latency mode: ended by the failsafe
-  bool completed = false;       ///< end-of-phase fields are valid
-  std::vector<std::uint32_t> heavy_procs;  ///< ascending processor ids
-};
-
-/// Per-processor state. Owned exclusively by the shard's worker while a
-/// run() is in flight; the main thread may inspect between runs (the
-/// command barrier orders the accesses).
-struct RtProcessor {
-  TaskQueue queue;
-  std::uint64_t generated = 0;
-  std::uint64_t consumed = 0;
-  std::uint64_t consumed_on_origin = 0;
-  std::uint64_t tasks_sent = 0;
-  std::uint64_t tasks_received = 0;
-  std::uint64_t balance_initiations = 0;
-  // Protocol flags, stamped with lockstep epochs so phases need no clears.
-  std::uint64_t light_epoch = 0;     ///< light at phase start
-  std::uint64_t assigned_epoch = 0;  ///< reserved by an id message
-  std::uint64_t matched_epoch = 0;   ///< (roots) matched this phase
-  std::uint32_t matched_partner = 0;
-  std::uint64_t accept_epoch = 0;    ///< collision: accepted_total validity
-  std::uint32_t accepted_total = 0;
-  std::uint64_t incoming_epoch = 0;  ///< collision: incoming validity
-  std::uint32_t incoming = 0;
-  std::uint64_t decide_epoch = 0;    ///< collision: round decision validity
-  bool accepts_round = false;
-};
 
 class Runtime {
  public:
@@ -295,9 +64,7 @@ class Runtime {
   [[nodiscard]] std::uint64_t total_load() const;
   [[nodiscard]] std::uint64_t total_generated() const;
   [[nodiscard]] std::uint64_t total_consumed() const;
-  [[nodiscard]] std::uint64_t running_max_load() const {
-    return running_max_load_;
-  }
+  [[nodiscard]] std::uint64_t running_max_load() const;
   /// generated + deposited == consumed + queued + dropped? Count-based only
   /// — identity-blind, which is precisely why the fuzzer's FIFO oracle and
   /// not this check must convict the mailbox-drop mutation.
@@ -314,9 +81,7 @@ class Runtime {
   /// against the engine's per-step pending-transfer capture.
   [[nodiscard]] std::vector<LedgerEntry> ledger() const;
 
-  [[nodiscard]] const std::vector<RtPhaseSummary>& phases() const {
-    return phases_;
-  }
+  [[nodiscard]] const std::vector<RtPhaseSummary>& phases() const;
 
   [[nodiscard]] stats::IntHistogram sojourn_steps() const;
   [[nodiscard]] stats::IntHistogram sojourn_us() const;
@@ -352,7 +117,9 @@ class Runtime {
 
   // ---- telemetry (RtConfig::telemetry; all readable between runs) ----
   /// True when telemetry was requested AND compiled in.
-  [[nodiscard]] bool telemetry_enabled() const { return telemetry_; }
+  [[nodiscard]] bool telemetry_enabled() const {
+    return cfg_.telemetry && obs::kTelemetryCompiled;
+  }
   /// Worker i's own counters (zeroed struct when telemetry is off).
   [[nodiscard]] const obs::WorkerTelemetry& worker_telemetry(unsigned i) const;
   /// All workers merged (counter totals conserved; phases is per-worker
@@ -402,29 +169,15 @@ class Runtime {
   /// fuzzer's mutation_applied probe).
   [[nodiscard]] std::uint64_t steal_dup_tasks() const;
 
-  // ---- arena bookkeeping (RtConfig::arena) -----------------------------
-  /// Bytes bump-allocated across all per-worker arenas (0 in fifo mode).
+  /// Bytes bump-allocated across all per-worker queue arenas.
   [[nodiscard]] std::uint64_t arena_bytes_used() const;
 
  private:
-  struct alignas(64) Slot {
-    std::uint64_t v0 = 0;
-    std::uint64_t v1 = 0;
-    std::uint64_t v2 = 0;
-  };
-
-  struct RtNode;
-  struct ScanEntry;
   struct Worker;
-
   struct LatencyShared;
 
   void worker_main(Worker& w);
-  void step_once(Worker& w, std::uint64_t step);
-  void run_phase(Worker& w, std::uint64_t step);
-  std::uint64_t run_level(Worker& w, std::uint64_t step,
-                          std::uint64_t phase_index, std::uint32_t level,
-                          std::uint64_t node_count);
+  /// all-in-air: every shard task thrown at a uniformly random processor.
   void run_scatter(Worker& w, std::uint64_t step);
   /// The workload-zoo policies (kStaleSq / kLocalSearch): publish the fresh
   /// load board, replicate the shared pure decision rule on every worker,
@@ -439,28 +192,9 @@ class Runtime {
   /// Crash re-home at the start of a crash step: leader-serial queue moves
   /// behind a pair of barriers (no-op on other steps).
   void process_crashes(Worker& w, std::uint64_t step);
-  void send(Worker& w, std::uint32_t dest_proc, Message* m);
-  void send_transfer(Worker& w, std::uint64_t step, std::uint32_t root,
-                     std::uint32_t partner, std::uint64_t ordinal,
-                     std::uint64_t count);
-  void apply_staged_transfers(Worker& w, std::uint64_t step,
-                              std::uint64_t base, std::uint64_t total);
-  void drain(Worker& w, std::vector<Message*>& out);
-  /// drain() variant that collects kTransfer messages into `out` instead of
-  /// applying them on arrival — the zoo policies sort arrivals by sender
-  /// before applying (several senders may target one receiver, so arrival
-  /// order is not canonical there).
-  void drain_collect(Worker& w, std::vector<Message*>& out);
-  void apply_transfer(Worker& w, const Message& m);
-  /// step_barrier_ arrival on the superstep path. With telemetry on it uses
-  /// the timed variant and books the wait into the worker's stall accounts;
-  /// otherwise it is exactly arrive_and_wait().
-  void barrier(Worker& w);
   /// Leader-only: appends one snapshot line per worker (reads the `snap`
   /// copies published by the preceding barrier).
   void append_snapshots(std::uint64_t step);
-  [[nodiscard]] unsigned owner_of(std::uint64_t p) const;
-  [[nodiscard]] std::uint32_t now_us() const;
 
   // ---- latency fabric (RtConfig::latency >= 1; see rt/latency section
   // of runtime.cpp) ----
@@ -477,13 +211,11 @@ class Runtime {
 
   RtConfig cfg_;
   sim::LoadModel* model_;
+  ShardMap map_;
+  // All n processors in one allocation, in shard order; each worker's core
+  // views its own range, and the queues live in the cores' arenas.
   std::vector<RtProcessor> procs_;
   std::vector<std::unique_ptr<Worker>> workers_;
-
-  // Shard partition (block_range layout, precomputed for owner_of).
-  std::uint64_t chunk_ = 1;
-  std::uint64_t extra_ = 0;
-  std::uint64_t split_ = 0;
 
   // Superstep coordination.
   util::PhaseBarrier step_barrier_;  // workers only
@@ -492,29 +224,15 @@ class Runtime {
   bool cmd_stop_ = false;
   std::uint64_t step_base_ = 0;
 
-  // Published reduction slots (plain values; the barriers order them).
-  std::vector<Slot> load_slots_[2];  // parity by step: v0 load, v1 max, v2 scattered
-  std::vector<Slot> class_slots_;    // v0 heavy count, v1 light count
-  std::vector<Slot> active_slots_;   // v0 active collision requests
-  std::vector<Slot> match_slots_;    // v0 matched roots
-  std::uint64_t next_node_count_ = 0;  // leader-written between scan barriers
-
-  // Leader-owned aggregates (worker 0 writes, main reads between runs).
-  std::vector<RtPhaseSummary> phases_;
-  std::uint64_t running_max_load_ = 0;
   std::uint64_t air_interval_ = 1;
 
   // Latency fabric (null in instant mode).
   std::unique_ptr<LatencyShared> lat_;
-  std::vector<Slot> lat_flight_slots_;  // v0 active, v1 fab sent, v2 fab delivered
-  std::vector<Slot> lat_stage_slots_;   // v0 staged transfers, v1 matched heavy
 
   // Fault injection (delay_skew_message; arrival-order by design, see
   // RtConfig).
   std::atomic<std::uint64_t> skew_send_ordinal_{0};
 
-  // Telemetry (RtConfig::telemetry, forced off when compiled out).
-  bool telemetry_ = false;
   std::string telemetry_jsonl_;  // leader-written behind snapshot barriers
 
   // Workload zoo (policies kStaleSq/kLocalSearch and RtConfig::crashes).
@@ -536,10 +254,6 @@ class Runtime {
   std::vector<std::uint32_t> steal_board_;      // post-consume loads
   std::vector<std::uint8_t> steal_dry_board_;   // consume budget left over
   std::vector<std::uint8_t> steal_alive_board_;
-
-  // Cache-conscious storage (RtConfig::arena): one bump arena per worker
-  // shard, so consecutive processors' rings are consecutive in memory.
-  std::vector<std::unique_ptr<TaskArena>> arenas_;
 
   std::uint64_t deposited_ = 0;
   double wall_seconds_ = 0;

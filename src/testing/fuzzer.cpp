@@ -131,11 +131,10 @@ Scenario materialize(const FuzzOptions& opt, std::uint64_t index) {
         default: break;
       }
     }
-    // Rotate the scale knobs on top of the organic draws so this tier keeps
-    // the arena queue layout and the steal path under sanitizer pressure
-    // regardless of what the organic draws picked (stealing is instant-
-    // fabric only; the sanitizer below drops it from latency scenarios).
-    if ((index / 4) % 2 == 0) s.rt_arena = true;
+    // Rotate the steal knob on top of the organic draws so this tier keeps
+    // the steal path under sanitizer pressure regardless of what the
+    // organic draws picked (stealing is instant-fabric only; the sanitizer
+    // below drops it from latency scenarios).
     if (index % 4 == 2) s.rt_steal = true;
   }
 

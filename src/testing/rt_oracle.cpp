@@ -96,7 +96,6 @@ RtRun build_rt(const Scenario& s, unsigned workers) {
   cfg.stale = baselines::StaleSqConfig{s.stale_staleness, s.stale_gap};
   cfg.ls = baselines::LocalSearchConfig{s.ls_min_load};
   cfg.crashes = s.crashes;
-  cfg.arena = s.rt_arena;
   if (s.rt_steal || s.mutation == MutationKind::kStealDuplicateTask) {
     cfg.steal.enabled = true;
   }

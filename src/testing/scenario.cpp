@@ -304,12 +304,13 @@ Scenario Scenario::sample(std::uint64_t scenario_seed, std::uint64_t index) {
     }
   }
 
-  // Scale knobs (arena-backed queues, deterministic work stealing): drawn
-  // after every older field so pre-existing (seed, index) pairs keep their
-  // exact scenarios. Stealing needs the instant fabric, so it is never
-  // combined with the latency dimension.
+  // Scale knob (deterministic work stealing): drawn after every older field
+  // so pre-existing (seed, index) pairs keep their exact scenarios. The
+  // first draw was the retired queue-layout knob; it stays so the stream
+  // does too. Stealing needs the instant fabric, so it is never combined
+  // with the latency dimension.
   if (s.runtime) {
-    s.rt_arena = pick(rng, 0, 1) == 0;
+    (void)pick(rng, 0, 1);
     if (!s.rt_latency && pick(rng, 0, 2) == 0) s.rt_steal = true;
   }
   return s;
@@ -333,7 +334,6 @@ std::string Scenario::describe() const {
     if (link_loss != 0) lat += " loss=" + std::to_string(link_loss);
   }
   if (!crashes.empty()) lat += " crashes=" + std::to_string(crashes.size());
-  if (rt_arena) lat += " arena";
   if (rt_steal) lat += " steal";
   std::snprintf(
       buf, sizeof buf,

@@ -12,13 +12,13 @@
 namespace clb::transport {
 
 ProcessRuntime::ProcessRuntime(ShardRunConfig cfg, WireKind wire)
-    : cfg_(std::move(cfg)), wire_(wire) {
+    : cfg_(std::move(cfg)),
+      wire_(wire),
+      map_(cfg_.n, std::max(1u, cfg_.workers)) {
   CLB_CHECK(cfg_.workers >= 1, "transport: need at least one shard process");
-  CLB_CHECK(cfg_.workers <= 64, "transport: shard-process fan-out capped at 64");
+  CLB_CHECK(cfg_.workers <= rt::kMaxShardProcesses,
+            "transport: shard-process fan-out capped at 64");
   CLB_CHECK(cfg_.workers <= cfg_.n, "transport: more shards than processors");
-  chunk_ = cfg_.n / cfg_.workers;
-  extra_ = cfg_.n % cfg_.workers;
-  split_ = extra_ * (chunk_ + 1);
   spawn();
 }
 
@@ -39,7 +39,7 @@ ProcessRuntime::ProcessRuntime(const rt::RtConfig& cfg, const ModelSpec& model)
             ShardRunConfig sc;
             sc.n = cfg.n;
             sc.seed = cfg.seed;
-            sc.workers = cfg.workers != 0 ? cfg.workers : 1;
+            sc.workers = rt::resolve_workers(cfg);
             sc.deterministic = cfg.deterministic;
             sc.policy = cfg.policy;
             sc.params = cfg.params;
@@ -123,11 +123,6 @@ ProcessRuntime::~ProcessRuntime() {
   }
 }
 
-unsigned ProcessRuntime::owner_of(std::uint64_t p) const {
-  if (p < split_) return static_cast<unsigned>(p / (chunk_ + 1));
-  return static_cast<unsigned>(extra_ + (p - split_) / chunk_);
-}
-
 void ProcessRuntime::run(std::uint64_t steps) {
   if (steps == 0) return;
   CLB_CHECK(!collected_, "transport: run() after collect()");
@@ -170,7 +165,7 @@ void ProcessRuntime::deposit(std::uint32_t p, sim::Task t) {
   Writer w;
   w.u64(p);
   serialize_task(w, rt::RtTask{t, 0});
-  ctl_[owner_of(p)].send_frame(FrameType::kDeposit, w.data());
+  ctl_[map_.owner_of(p)].send_frame(FrameType::kDeposit, w.data());
   log_.push_back(Command{Command::Kind::kDeposit, 0, p, t});
 }
 
@@ -178,8 +173,7 @@ void ProcessRuntime::collect() {
   if (collected_) return;
   for (Endpoint& c : ctl_) c.send_frame(FrameType::kCollect, nullptr, 0);
 
-  procs_.clear();
-  procs_.resize(cfg_.n);
+  procs_.reserve(cfg_.n);
   for (unsigned i = 0; i < cfg_.workers; ++i) {
     const Frame f = ctl_[i].recv_frame();
     CLB_CHECK(f.type == FrameType::kState,
@@ -190,9 +184,10 @@ void ProcessRuntime::collect() {
     const auto [b, e] = util::block_range(cfg_.n, cfg_.workers, i);
     CLB_CHECK(st.begin == b && st.end == e && st.procs.size() == e - b,
               "transport: shard state does not match the partition");
-    for (std::uint64_t p = b; p < e; ++p) {
-      procs_[p] = std::move(st.procs[p - b]);
-    }
+    // Shards arrive in processor order; their queues stay in the arena
+    // they were rebuilt in, which lives as long as procs_.
+    for (rt::RtProcessor& pr : st.procs) procs_.push_back(std::move(pr));
+    arenas_.push_back(std::move(st.arena));
     msg_.queries += st.msg.queries;
     msg_.accepts += st.msg.accepts;
     msg_.id_messages += st.msg.id_messages;

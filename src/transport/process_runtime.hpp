@@ -23,6 +23,7 @@
 #include <sys/types.h>
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -48,9 +49,11 @@ class ProcessRuntime {
   ProcessRuntime(ShardRunConfig cfg, WireKind wire);
 
   /// Convenience seam from the rt vocabulary: maps RtConfig::transport to
-  /// the wire kind (must not be kInProc) and checks that every rt feature
-  /// this transport does not carry (latency fabric, crash schedules, drop
-  /// injection, zoo policies, telemetry, tracing) is off.
+  /// the wire kind (must not be kInProc), resolves the shard count like
+  /// rt::Runtime does (rt::resolve_workers), and checks that every rt
+  /// feature this transport does not carry (latency fabric, crash
+  /// schedules, drop injection, zoo policies, stealing, telemetry, tracing)
+  /// is off.
   ProcessRuntime(const rt::RtConfig& cfg, const ModelSpec& model);
 
   ~ProcessRuntime();
@@ -104,19 +107,19 @@ class ProcessRuntime {
 
  private:
   void spawn();
-  [[nodiscard]] unsigned owner_of(std::uint64_t p) const;
 
   ShardRunConfig cfg_;
   WireKind wire_ = WireKind::kUds;
   std::vector<Endpoint> ctl_;   // coordinator end of each child's control link
   std::vector<pid_t> pids_;
-  std::uint64_t chunk_ = 1, extra_ = 0, split_ = 0;
+  rt::ShardMap map_;
   std::uint64_t step_base_ = 0;
   double wall_seconds_ = 0;
   std::vector<Command> log_;
 
   // Merged state (valid once collected_).
   bool collected_ = false;
+  std::vector<std::unique_ptr<rt::TaskArena>> arenas_;  // procs_' queues
   std::vector<rt::RtProcessor> procs_;
   sim::MessageCounters msg_;
   std::uint64_t clamped_ = 0;

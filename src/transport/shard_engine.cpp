@@ -1,36 +1,14 @@
 #include "transport/shard_engine.hpp"
 
 #include <algorithm>
+#include <chrono>
 
-#include "rng/splitmix64.hpp"
+#include "rt/shard_core.hpp"
 #include "util/check.hpp"
-#include "util/thread_pool.hpp"
 
 namespace clb::transport {
 
 namespace {
-
-// Must match rt::Runtime (and the threshold balancer) bit for bit.
-constexpr std::uint64_t kGameSalt = 0x70686173656761ULL;  // "phasega"
-constexpr std::uint32_t kMaxA = 16;
-
-/// Busy work standing in for a task's compute cost (same loop as rt).
-inline void spin(std::uint32_t iters) {
-  std::uint64_t x = 0x9E3779B97F4A7C15ULL;
-  for (std::uint32_t i = 0; i < iters; ++i) {
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-#if defined(__GNUC__) || defined(__clang__)
-    asm volatile("" : "+r"(x));
-#endif
-  }
-}
-
-bool key_less(const Msg& a, const Msg& b) {
-  if (a.key != b.key) return a.key < b.key;
-  return static_cast<int>(a.kind) < static_cast<int>(b.kind);
-}
 
 void serialize_hist(Writer& w, const stats::IntHistogram& h) {
   // Sparse (value, count) pairs: sojourn_us values can reach the run's
@@ -80,6 +58,21 @@ void ShardRunConfig::serialize(Writer& w) const {
   w.u8(time_sojourn ? 1 : 0);
   w.u64(corrupt_transfer_frame);
   model.serialize(w);
+}
+
+rt::RtConfig ShardRunConfig::rt_config() const {
+  rt::RtConfig rc;
+  rc.n = n;
+  rc.seed = seed;
+  rc.workers = workers;
+  rc.deterministic = deterministic;
+  rc.policy = policy;
+  rc.params = params;
+  rc.game = game;
+  rc.spin_work = spin_work;
+  rc.track_sojourn = track_sojourn;
+  rc.time_sojourn = time_sojourn;
+  return rc;
 }
 
 ShardRunConfig ShardRunConfig::deserialize(Reader& r) {
@@ -165,7 +158,9 @@ ShardState ShardState::deserialize(Reader& r) {
   s.procs.resize(np);
   for (rt::RtProcessor& p : s.procs) {
     const std::uint32_t q = r.u32();
-    for (std::uint32_t i = 0; i < q; ++i) p.queue.push_back(deserialize_task(r));
+    for (std::uint32_t i = 0; i < q; ++i) {
+      p.queue.push_back(deserialize_task(r), *s.arena);
+    }
     p.generated = r.u64();
     p.consumed = r.u64();
     p.consumed_on_origin = r.u64();
@@ -220,89 +215,80 @@ ShardState ShardState::deserialize(Reader& r) {
   return s;
 }
 
-// ---------------------------------------------------------------------------
-// Worker entry point
-// ---------------------------------------------------------------------------
-
-void shard_worker_main(Endpoint control, std::vector<Endpoint> peers) {
-  Frame f = control.recv_frame();
-  CLB_CHECK(f.type == FrameType::kConfig,
-            "transport: worker expected kConfig as the first control frame");
-  Reader r(f.payload);
-  ShardRunConfig cfg = ShardRunConfig::deserialize(r);
-  CLB_CHECK(r.exhausted(), "transport: trailing bytes after kConfig payload");
-  ShardEngine engine(std::move(cfg), std::move(control), std::move(peers));
-  engine.serve();
-}
 
 // ---------------------------------------------------------------------------
-// ShardEngine
+// ShardEngine: the socket side of the shard core's exchange seam
 // ---------------------------------------------------------------------------
 
-ShardEngine::ShardEngine(ShardRunConfig cfg, Endpoint control,
-                         std::vector<Endpoint> peers)
-    : cfg_(std::move(cfg)),
+namespace {
+
+class ShardEngine final : public rt::ShardCore {
+ public:
+  ShardEngine(const ShardRunConfig& run, sim::LoadModel& load_model,
+              Endpoint control, std::vector<Endpoint> peers);
+
+  /// Sends kConfigAck, then blocks serving coordinator commands until
+  /// kShutdown arrives.
+  void serve();
+
+  void send(std::uint32_t dest_proc, rt::Message* m) override;
+  void drain(std::vector<rt::Message*>& out) override;
+  /// Flushes the peer batches (threshold policy), sends kBarrier with
+  /// `blob`, blocks on kRelease and returns all shards' blobs.
+  const rt::Blobs& allgather(std::span<const std::uint64_t> blob) override;
+  void fence() override {}
+
+ private:
+  struct PeerChannel {
+    Endpoint ep;
+    Writer batch;  // messages accumulated this superstep
+    std::uint32_t batch_count = 0;
+    std::uint64_t batches_consumed = 0;
+  };
+
+  void collect_state();
+
+  std::vector<rt::RtProcessor> shard_;  // the core's processors
+  Endpoint control_;
+  std::vector<PeerChannel> peers_;
+  const bool flush_data_;          // threshold policy keeps a data plane
+  std::uint64_t data_rounds_ = 0;  // flushing barriers passed so far
+  std::vector<rt::Message*> self_pending_;
+  std::vector<std::vector<std::uint64_t>> blobs_;
+  rt::Blobs views_;
+  std::uint64_t step_base_ = 0;
+  std::uint64_t deposited_ = 0;
+  const std::uint64_t corrupt_transfer_frame_;
+  std::uint64_t transfers_serialised_ = 0;
+  obs::WireStats wire_;
+};
+
+ShardEngine::ShardEngine(const ShardRunConfig& run, sim::LoadModel& load_model,
+                         Endpoint control, std::vector<Endpoint> peers)
+    : rt::ShardCore(run.rt_config(), load_model, run.index,
+                    std::chrono::steady_clock::now()),
       control_(std::move(control)),
-      start_tp_(std::chrono::steady_clock::now()) {
-  CLB_CHECK(cfg_.workers >= 1 && cfg_.index < cfg_.workers,
-            "transport: worker index out of range");
-  CLB_CHECK(cfg_.n >= 1 && cfg_.n <= (1ULL << 31),
-            "transport: processor ids must fit comfortably in 32 bits");
-  CLB_CHECK(cfg_.workers <= cfg_.n, "transport: more shards than processors");
-  CLB_CHECK(cfg_.policy == rt::RtPolicy::kThreshold ||
-                cfg_.policy == rt::RtPolicy::kNone,
+      flush_data_(run.policy == rt::RtPolicy::kThreshold),
+      blobs_(run.workers),
+      corrupt_transfer_frame_(run.corrupt_transfer_frame) {
+  CLB_CHECK(cfg.policy == rt::RtPolicy::kThreshold ||
+                cfg.policy == rt::RtPolicy::kNone,
             "the cross-process transport runs policies none and threshold");
-  model_ = cfg_.model.make(cfg_.n);
-  CLB_CHECK(!model_->serial_generation(),
+  CLB_CHECK(!model.serial_generation(),
             "transport requires a parallel-safe (counter-RNG) model");
-  if (cfg_.policy == rt::RtPolicy::kThreshold) {
-    CLB_CHECK(cfg_.params.n == cfg_.n,
-              "phase params must be realised for this n (PhaseParams::from_n)");
-    CLB_CHECK(cfg_.game.b >= 1 && cfg_.game.b <= 2,
-              "query trees are binary: b must be 1 or 2");
-    CLB_CHECK(cfg_.game.a >= 2 && cfg_.game.a <= kMaxA &&
-                  static_cast<std::uint64_t>(cfg_.game.a) < cfg_.n,
-              "collision fan-out a out of range");
-    CLB_CHECK(cfg_.game.c >= 1, "collision capacity c must be >= 1");
-  }
-  flush_data_ = cfg_.policy == rt::RtPolicy::kThreshold;
-
-  chunk_ = cfg_.n / cfg_.workers;
-  extra_ = cfg_.n % cfg_.workers;
-  split_ = extra_ * (chunk_ + 1);
-  const auto [b, e] = util::block_range(cfg_.n, cfg_.workers, cfg_.index);
-  begin_ = b;
-  end_ = e;
-  procs_.resize(end_ - begin_);
-
+  shard_.resize(end - begin);
+  procs = shard_;
   peers_.reserve(peers.size());
   for (Endpoint& ep : peers) {
     PeerChannel ch;
     ch.ep = std::move(ep);
     peers_.push_back(std::move(ch));
   }
-  for (unsigned i = 0; i < cfg_.workers; ++i) {
-    if (i == cfg_.index) continue;
+  for (unsigned i = 0; i < cfg.workers; ++i) {
+    if (i == index) continue;
     CLB_CHECK(i < peers_.size() && peers_[i].ep.valid(),
               "transport: missing data link to a peer shard");
   }
-}
-
-unsigned ShardEngine::owner_of(std::uint64_t p) const {
-  if (p < split_) return static_cast<unsigned>(p / (chunk_ + 1));
-  return static_cast<unsigned>(extra_ + (p - split_) / chunk_);
-}
-
-rt::RtProcessor& ShardEngine::proc(std::uint64_t p) {
-  CLB_DCHECK(p >= begin_ && p < end_, "processor outside the owned shard");
-  return procs_[p - begin_];
-}
-
-std::uint32_t ShardEngine::now_us() const {
-  return static_cast<std::uint32_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - start_tp_)
-          .count());
 }
 
 void ShardEngine::serve() {
@@ -314,7 +300,8 @@ void ShardEngine::serve() {
         Reader r(f.payload);
         const std::uint64_t steps = r.u64();
         CLB_CHECK(r.exhausted(), "transport: malformed kRun payload");
-        run(steps);
+        for (std::uint64_t s = 0; s < steps; ++s) step_once(step_base_ + s);
+        step_base_ += steps;
         control_.send_frame(FrameType::kDone, nullptr, 0);
         break;
       }
@@ -323,10 +310,10 @@ void ShardEngine::serve() {
         const std::uint64_t p = r.u64();
         rt::RtTask t = deserialize_task(r);
         CLB_CHECK(r.exhausted(), "transport: malformed kDeposit payload");
-        CLB_CHECK(owner_of(p) == cfg_.index,
+        CLB_CHECK(owner_of(p) == index,
                   "transport: deposit routed to the wrong shard");
-        t.birth_us = cfg_.time_sojourn ? now_us() : 0;
-        proc(p).queue.push_back(t);
+        t.birth_us = cfg.time_sojourn ? now_us() : 0;
+        proc(p).queue.push_back(t, arena);
         ++deposited_;
         break;
       }
@@ -343,17 +330,17 @@ void ShardEngine::serve() {
 
 void ShardEngine::collect_state() {
   ShardState st;
-  st.begin = begin_;
-  st.end = end_;
-  st.procs = procs_;
-  st.msg = msg_;
-  st.clamped = clamped_;
+  st.begin = begin;
+  st.end = end;
+  st.procs = std::move(shard_);  // borrowed for serialisation, returned below
+  st.msg = msg;
+  st.clamped = clamped;
   st.deposited = deposited_;
-  st.ledger = ledger_;
-  st.sojourn_steps = sojourn_steps_;
-  st.sojourn_us = sojourn_us_;
-  st.running_max = running_max_;
-  st.phases = phases_;
+  st.ledger = ledger;
+  st.sojourn_steps = sojourn_steps;
+  st.sojourn_us = sojourn_us;
+  st.running_max = running_max;
+  st.phases = phases;
   st.wire = wire_;
   control_.account_into(st.wire);
   for (const PeerChannel& ch : peers_) {
@@ -361,26 +348,17 @@ void ShardEngine::collect_state() {
   }
   Writer w;
   st.serialize(w);
+  shard_ = std::move(st.procs);  // same buffer, so `procs` stays valid
   control_.send_frame(FrameType::kState, w.data());
 }
 
-void ShardEngine::run(std::uint64_t steps) {
-  for (std::uint64_t s = 0; s < steps; ++s) step_once(step_base_ + s);
-  step_base_ += steps;
-}
-
-// ---------------------------------------------------------------------------
-// Superstep plumbing
-// ---------------------------------------------------------------------------
-
-std::vector<std::vector<std::uint64_t>> ShardEngine::allgather(
-    const std::vector<std::uint64_t>& blob) {
+const rt::Blobs& ShardEngine::allgather(std::span<const std::uint64_t> blob) {
   if (flush_data_) {
     // Exactly one kBatch frame per peer per flushing barrier — possibly
     // empty. The receiver counts batches, not messages, so a drain knows
     // when it has everything (see drain()).
-    for (unsigned i = 0; i < cfg_.workers; ++i) {
-      if (i == cfg_.index) continue;
+    for (unsigned i = 0; i < cfg.workers; ++i) {
+      if (i == index) continue;
       PeerChannel& ch = peers_[i];
       Writer payload;
       payload.u32(ch.batch_count);
@@ -407,58 +385,52 @@ std::vector<std::vector<std::uint64_t>> ShardEngine::allgather(
   ++wire_.barriers;
 
   Reader r(f.payload);
-  std::vector<std::vector<std::uint64_t>> all(cfg_.workers);
-  for (unsigned i = 0; i < cfg_.workers; ++i) {
-    const std::uint32_t len = r.u32();
-    all[i].resize(len);
-    for (std::uint64_t& v : all[i]) v = r.u64();
+  views_.clear();
+  for (std::vector<std::uint64_t>& b : blobs_) {
+    b.resize(r.u32());
+    for (std::uint64_t& v : b) v = r.u64();
+    views_.emplace_back(b);
   }
   CLB_CHECK(r.exhausted(), "transport: trailing bytes in a kRelease payload");
-  return all;
+  return views_;
 }
 
-void ShardEngine::send(std::uint32_t dest_proc, Msg&& m) {
+void ShardEngine::send(std::uint32_t dest_proc, rt::Message* m) {
   const unsigned owner = owner_of(dest_proc);
-  if (owner == cfg_.index) {
-    self_pending_.push_back(std::move(m));
+  if (owner == index) {
+    self_pending_.push_back(m);
     return;
   }
-  if (m.kind == rt::MsgKind::kTransfer) {
-    ++corrupt_countdown_seen_;
-    if (cfg_.corrupt_transfer_frame != 0 &&
-        corrupt_countdown_seen_ == cfg_.corrupt_transfer_frame &&
-        !m.payload.empty()) {
+  if (m->kind == rt::MsgKind::kTransfer) {
+    ++transfers_serialised_;
+    if (transfers_serialised_ == corrupt_transfer_frame_ &&
+        !m->payload.empty()) {
       // The frame-corrupt mutation: flipped BEFORE the frame is signed, so
       // the CRC vouches for the corrupted bytes and every counter stays
       // self-consistent. Only the shadow fabric can tell.
-      m.payload[0].task.birth_step ^= 1u;
+      m->payload[0].task.birth_step ^= 1u;
     }
   }
   PeerChannel& ch = peers_[owner];
-  serialize_msg(ch.batch, m);
+  serialize_msg(ch.batch, *m);
   ++ch.batch_count;
+  delete m;
 }
 
-void ShardEngine::apply_transfer(const Msg& m) {
-  CLB_DCHECK(owner_of(m.b) == cfg_.index,
-             "transfer routed to the wrong shard");
-  rt::RtProcessor& dst = proc(m.b);
-  dst.tasks_received += m.payload.size();
-  for (const rt::RtTask& t : m.payload) dst.queue.push_back(t);
-}
-
-void ShardEngine::drain(std::vector<Msg>& out) {
+void ShardEngine::drain(std::vector<rt::Message*>& out) {
   out.clear();
-  for (Msg& m : self_pending_) {
-    if (m.kind == rt::MsgKind::kTransfer) {
-      apply_transfer(m);
+  const auto take = [&](rt::Message* m) {
+    if (m->kind == rt::MsgKind::kTransfer) {
+      apply_transfer(*m);
+      delete m;
     } else {
-      out.push_back(std::move(m));
+      out.push_back(m);
     }
-  }
+  };
+  for (rt::Message* m : self_pending_) take(m);
   self_pending_.clear();
-  for (unsigned i = 0; i < cfg_.workers; ++i) {
-    if (i == cfg_.index) continue;
+  for (unsigned i = 0; i < cfg.workers; ++i) {
+    if (i == index) continue;
     PeerChannel& ch = peers_[i];
     while (ch.batches_consumed < data_rounds_) {
       Frame f = ch.ep.recv_frame();
@@ -467,12 +439,7 @@ void ShardEngine::drain(std::vector<Msg>& out) {
       Reader r(f.payload);
       const std::uint32_t count = r.u32();
       for (std::uint32_t k = 0; k < count; ++k) {
-        Msg m = deserialize_msg(r);
-        if (m.kind == rt::MsgKind::kTransfer) {
-          apply_transfer(m);
-        } else {
-          out.push_back(std::move(m));
-        }
+        take(deserialize_msg(r).release());
       }
       CLB_CHECK(r.exhausted(), "transport: trailing bytes in a kBatch frame");
       ++ch.batches_consumed;
@@ -480,492 +447,18 @@ void ShardEngine::drain(std::vector<Msg>& out) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// The protocol, ported verbatim from rt::Runtime's instant mode
-// ---------------------------------------------------------------------------
+}  // namespace
 
-void ShardEngine::step_once(std::uint64_t step) {
-  // ---- generate / consume (mirrors Engine::generate_consume_block) ----
-  const std::uint64_t system_load = sys_load_;
-  for (std::uint64_t p = begin_; p < end_; ++p) {
-    rt::RtProcessor& pr = proc(p);
-    const sim::StepAction act = model_->step_action(
-        cfg_.seed, p, step, pr.queue.size(), system_load);
-    for (std::uint32_t i = 0; i < act.generate; ++i) {
-      pr.queue.push_back(
-          rt::RtTask{sim::Task{static_cast<std::uint32_t>(step),
-                               static_cast<std::uint32_t>(p), act.weight},
-                     cfg_.time_sojourn ? now_us() : 0});
-    }
-    pr.generated += act.generate;
-    std::uint32_t c = act.consume;
-    while (c > 0 && !pr.queue.empty()) {
-      const rt::RtTask t = pr.queue.front();
-      pr.queue.pop_front();
-      ++pr.consumed;
-      if (t.task.origin == p) ++pr.consumed_on_origin;
-      if (cfg_.track_sojourn) sojourn_steps_.add(step - t.task.birth_step);
-      if (cfg_.time_sojourn) sojourn_us_.add(now_us() - t.birth_us);
-      if (cfg_.spin_work != 0) spin(cfg_.spin_work);
-      --c;
-    }
-  }
-
-  // ---- balancing policy ----
-  bool phase_step = false;
-  phase_matched_ = 0;
-  if (cfg_.policy == rt::RtPolicy::kThreshold &&
-      step % cfg_.params.phase_len == 0) {
-    phase_step = true;
-    run_phase(step);
-  }
-
-  // ---- end-of-step load reduction (one barrier, blob-borne) ----
-  std::uint64_t local_load = 0, local_max = 0;
-  for (std::uint64_t p = begin_; p < end_; ++p) {
-    const std::uint64_t l = proc(p).queue.size();
-    local_load += l;
-    if (l > local_max) local_max = l;
-  }
-  const auto all = allgather({local_load, local_max, phase_matched_});
-  std::uint64_t sys = 0, mx = 0, matched = 0;
-  for (const std::vector<std::uint64_t>& b : all) {
-    sys += b[0];
-    if (b[1] > mx) mx = b[1];
-    matched += b[2];
-  }
-  sys_load_ = sys;
-  if (cfg_.index == 0) {
-    if (mx > running_max_) running_max_ = mx;
-    if (phase_step) {
-      // Compose the phase summary from the classification blobs stashed in
-      // run_phase plus the matched counts that rode this barrier. No extra
-      // fence needed: the blobs already crossed the control plane.
-      rt::RtPhaseSummary ps;
-      ps.phase_index = phase_count_ - 1;
-      ps.start_step = step;
-      ps.end_step = step;  // instant-schedule phases resolve within the step
-      ps.completed = true;
-      ps.heavy_procs = phase_heavy_all_;
-      ps.num_heavy = ps.heavy_procs.size();
-      ps.num_light = phase_light_total_;
-      ps.matched = matched;
-      ps.unmatched = ps.num_heavy - matched;
-      ps.requests = ph_requests_;
-      ps.levels_used = ph_levels_;
-      ps.collision_rounds = ph_rounds_;
-      phases_.push_back(std::move(ps));
-    }
-  }
-}
-
-void ShardEngine::run_phase(std::uint64_t step) {
-  ++phase_epoch_;
-  const std::uint64_t phase_index = phase_count_++;
-  const core::PhaseParams& pp = cfg_.params;
-  ph_requests_ = 0;
-  ph_levels_ = 0;
-  ph_rounds_ = 0;
-
-  // Classification from post-generation loads — the balancer's begin_phase.
-  heavy_local_.clear();
-  std::uint64_t light_count = 0;
-  for (std::uint64_t p = begin_; p < end_; ++p) {
-    const std::uint64_t load = proc(p).queue.size();
-    if (load >= pp.heavy_threshold) {
-      heavy_local_.push_back(static_cast<std::uint32_t>(p));
-      ++proc(p).balance_initiations;
-    } else if (load <= pp.light_threshold) {
-      proc(p).light_epoch = phase_epoch_;
-      ++light_count;
-    }
-  }
-  // D1 blob: [heavy count, light count, heavy procs...]. The heavy lists
-  // ride to worker 0 for the phase summary; everyone uses the counts for
-  // the slot prefix.
-  std::vector<std::uint64_t> blob;
-  blob.reserve(2 + heavy_local_.size());
-  blob.push_back(heavy_local_.size());
-  blob.push_back(light_count);
-  for (const std::uint32_t h : heavy_local_) blob.push_back(h);
-  const auto all = allgather(blob);
-
-  std::uint64_t heavy_base = 0, total_heavy = 0;
-  for (unsigned i = 0; i < cfg_.workers; ++i) {
-    if (i < cfg_.index) heavy_base += all[i][0];
-    total_heavy += all[i][0];
-  }
-  if (cfg_.index == 0) {
-    phase_heavy_all_.clear();
-    phase_light_total_ = 0;
-    for (unsigned i = 0; i < cfg_.workers; ++i) {
-      phase_light_total_ += all[i][1];
-      for (std::size_t k = 2; k < all[i].size(); ++k) {
-        phase_heavy_all_.push_back(static_cast<std::uint32_t>(all[i][k]));
-      }
-    }
-  }
-
-  // Level-1 nodes: the heavy processors themselves, slots in ascending
-  // processor order (shard order = processor order by construction).
-  nodes_.clear();
-  for (std::size_t i = 0; i < heavy_local_.size(); ++i) {
-    Node node;
-    node.slot = heavy_base + i;
-    node.proc = heavy_local_[i];
-    node.root = heavy_local_[i];
-    nodes_.push_back(std::move(node));
-  }
-
-  std::uint64_t node_count = total_heavy;
-  std::uint32_t level = 0;
-  while (level < pp.tree_depth && node_count > 0) {
-    ++level;
-    node_count = run_level(step, phase_index, level, node_count);
-  }
-
-  std::uint64_t matched = 0;
-  for (const std::uint32_t h : heavy_local_) {
-    if (proc(h).matched_epoch == phase_epoch_) ++matched;
-  }
-  phase_matched_ = matched;  // published on the end-of-step barrier blob
-}
-
-std::uint64_t ShardEngine::run_level(std::uint64_t step,
-                                     std::uint64_t phase_index,
-                                     std::uint32_t level,
-                                     std::uint64_t node_count) {
-  const collision::CollisionConfig& game = cfg_.game;
-  const std::uint64_t game_seed = rng::hash_combine(
-      rng::hash_combine(cfg_.seed, kGameSalt),
-      rng::hash_combine(phase_index, level));
-  ++level_epoch_;
-  ph_levels_ = level;
-  ph_requests_ += node_count;
-
-  for (Node& node : nodes_) {
-    collision::draw_targets(cfg_.n, game_seed, node.slot, node.proc, game.a,
-                            node.targets);
-    node.accepted_mask = 0;
-    node.accept_count = 0;
-    node.round_replies = 0;
-    node.active = true;
-    node.pending_children = 0;
-    node.status_nonapp = 0;
-    node.accepted.clear();
-  }
-
-  // ---- collision rounds (Figure 1) as 3-superstep exchanges. Unlike the
-  // in-proc runtime no extra anti-contamination fences are needed: the
-  // batch-per-barrier accounting makes a drain complete and exact by
-  // construction.
-  const std::uint32_t max_rounds = collision::round_bound(cfg_.n, game);
-  std::uint64_t active_total = node_count;
-  std::uint32_t round = 0;
-  while (round < max_rounds && active_total > 0) {
-    ++round;
-    ++round_epoch_;
-
-    // R1: active requests query their not-yet-accepted targets.
-    for (const Node& node : nodes_) {
-      if (!node.active) continue;
-      for (std::uint32_t j = 0; j < game.a; ++j) {
-        if (node.accepted_mask & (1u << j)) continue;
-        Msg m;
-        m.kind = rt::MsgKind::kQuery;
-        m.key = (node.slot << 4) | j;
-        m.a = node.targets[j];
-        m.b = node.proc;
-        send(node.targets[j], std::move(m));
-        ++msg_.queries;
-      }
-    }
-    (void)allgather({});
-    drain(batch_);
-
-    // R2: each queried processor counts arrivals, then accepts all or none
-    // (count-based, so no sort is needed for determinism), replying per
-    // accepted query.
-    for (const Msg& m : batch_) {
-      CLB_DCHECK(m.kind == rt::MsgKind::kQuery, "unexpected message in R2");
-      rt::RtProcessor& t = proc(m.a);
-      if (t.incoming_epoch != round_epoch_) {
-        t.incoming_epoch = round_epoch_;
-        t.incoming = 0;
-      }
-      ++t.incoming;
-    }
-    for (const Msg& m : batch_) {
-      rt::RtProcessor& t = proc(m.a);
-      if (t.decide_epoch != round_epoch_) {
-        t.decide_epoch = round_epoch_;
-        const std::uint32_t prior =
-            t.accept_epoch == level_epoch_ ? t.accepted_total : 0;
-        t.accepts_round =
-            t.incoming <= game.c && prior + t.incoming <= game.c;
-        if (t.accepts_round) {
-          t.accept_epoch = level_epoch_;
-          t.accepted_total = prior + t.incoming;
-          msg_.accepts += t.incoming;
-        }
-      }
-      if (t.accepts_round) {
-        Msg r;
-        r.kind = rt::MsgKind::kAccept;
-        r.key = m.key;
-        r.a = m.b;  // route back to the requesting node's processor
-        send(m.b, std::move(r));
-      }
-    }
-    batch_.clear();
-    (void)allgather({});
-    drain(batch_);
-
-    // R3: requests collect accepts — mark reply bits first, then append in
-    // j order (the simulator's pass-3 order); >= b accepts leaves the game.
-    for (const Msg& m : batch_) {
-      CLB_DCHECK(m.kind == rt::MsgKind::kAccept, "unexpected message in R3");
-      const std::uint64_t slot = m.key >> 4;
-      auto it = std::lower_bound(
-          nodes_.begin(), nodes_.end(), slot,
-          [](const Node& n, std::uint64_t s) { return n.slot < s; });
-      CLB_DCHECK(it != nodes_.end() && it->slot == slot,
-                 "accept for unknown node");
-      it->round_replies |= 1u << (m.key & 15);
-    }
-    batch_.clear();
-    std::uint64_t local_active = 0;
-    for (Node& node : nodes_) {
-      if (!node.active) continue;
-      if (node.round_replies != 0) {
-        for (std::uint32_t j = 0; j < game.a; ++j) {
-          if (node.round_replies & (1u << j)) {
-            node.accepted_mask |= 1u << j;
-            ++node.accept_count;
-            node.accepted.push_back(node.targets[j]);
-          }
-        }
-        node.round_replies = 0;
-      }
-      if (node.accept_count >= game.b) node.active = false;
-      if (node.active) ++local_active;
-    }
-    const auto act = allgather({local_active});
-    active_total = 0;
-    for (const std::vector<std::uint64_t>& b : act) active_total += b[0];
-  }
-  ph_rounds_ += round;
-
-  // ---- children announcement (first two accepts become tree children) ----
-  for (Node& node : nodes_) {
-    const auto k = static_cast<std::uint8_t>(
-        std::min<std::size_t>(node.accepted.size(), 2));
-    node.pending_children = k;
-    for (std::uint8_t s = 0; s < k; ++s) {
-      Msg m;
-      m.kind = rt::MsgKind::kChild;
-      m.key = (node.slot << 1) | s;
-      m.a = node.accepted[s];
-      m.b = node.root;
-      m.c = node.proc;
-      send(node.accepted[s], std::move(m));
-    }
-  }
-  (void)allgather({});
-  drain(batch_);
-
-  // ---- applicative decision at the children (sorted by (g, s): the first
-  // edge in global (request, child) order reserves a still-light,
-  // still-unassigned processor — exactly the simulator's iteration order).
-  if (cfg_.deterministic) std::sort(batch_.begin(), batch_.end(), key_less);
-  for (const Msg& m : batch_) {
-    CLB_DCHECK(m.kind == rt::MsgKind::kChild, "unexpected message in L2");
-    const std::uint32_t q = m.a;
-    rt::RtProcessor& qp = proc(q);
-    const bool applicative = qp.light_epoch == phase_epoch_ &&
-                             qp.assigned_epoch != phase_epoch_;
-    if (applicative) {
-      qp.assigned_epoch = phase_epoch_;
-      Msg id;
-      id.kind = rt::MsgKind::kId;
-      id.key = m.key;
-      id.a = m.b;  // root
-      id.b = q;
-      send(m.b, std::move(id));
-      ++msg_.id_messages;
-    }
-    Msg st;
-    st.kind = rt::MsgKind::kChildStatus;
-    st.key = m.key;
-    st.a = m.c;  // parent
-    st.b = applicative ? 1 : 0;
-    send(m.c, std::move(st));
-  }
-  batch_.clear();
-  (void)allgather({});
-  drain(batch_);
-
-  // ---- roots match on the first id (sorted: lowest (g, s) edge wins, as
-  // in the simulator); parents apply the sibling rule and stage forwards.
-  if (cfg_.deterministic) std::sort(batch_.begin(), batch_.end(), key_less);
-  for (const Msg& m : batch_) {
-    if (m.kind == rt::MsgKind::kId) {
-      rt::RtProcessor& root = proc(m.a);
-      if (root.matched_epoch != phase_epoch_) {
-        root.matched_epoch = phase_epoch_;
-        root.matched_partner = m.b;
-        staged_.push_back(Staged{m.a, m.b});
-      }
-    } else {
-      CLB_DCHECK(m.kind == rt::MsgKind::kChildStatus,
-                 "unexpected message in L3");
-      const std::uint64_t g = m.key >> 1;
-      auto it = std::lower_bound(
-          nodes_.begin(), nodes_.end(), g,
-          [](const Node& n, std::uint64_t s) { return n.slot < s; });
-      CLB_DCHECK(it != nodes_.end() && it->slot == g,
-                 "status for unknown node");
-      if (m.b == 0) ++it->status_nonapp;
-    }
-  }
-  batch_.clear();
-  scan_.clear();
-  for (Node& node : nodes_) {
-    const std::uint8_t k = node.pending_children;
-    std::uint32_t forward = 0;
-    if (k == 2 && node.status_nonapp == 2) {
-      // Sibling rule: both children learn (two control messages) that
-      // neither was applicative and carry the search down.
-      msg_.control += 2;
-      forward = 2;
-    } else if (k == 1 && node.status_nonapp == 1) {
-      forward = 1;
-    }
-    if (forward != 0) {
-      ScanEntry e;
-      e.g = node.slot;
-      e.root = node.root;
-      e.count = forward;
-      e.child[0] = node.accepted[0];
-      if (forward == 2) e.child[1] = node.accepted[1];
-      scan_.push_back(e);
-    }
-  }
-
-  // D7 blob: [staged count, scan count, (g, count) pairs...]. Carries both
-  // the transfer prefix scan AND the leader scan's input, so every worker
-  // replays the same merge and the global child numbering needs no
-  // leader-owned memory.
-  std::vector<std::uint64_t> blob;
-  blob.reserve(2 + 2 * scan_.size());
-  blob.push_back(staged_.size());
-  blob.push_back(scan_.size());
-  for (const ScanEntry& e : scan_) {
-    blob.push_back(e.g);
-    blob.push_back(e.count);
-  }
-  const auto all = allgather(blob);
-
-  std::uint64_t staged_base = transfer_seen_;
-  std::uint64_t staged_total = 0;
-  for (unsigned i = 0; i < cfg_.workers; ++i) {
-    if (i < cfg_.index) staged_base += all[i][0];
-    staged_total += all[i][0];
-  }
-
-  // Replicated leader scan: dense global numbering for next-level nodes,
-  // merging the per-worker (g, count) lists by parent slot g.
-  std::vector<std::size_t> pos(cfg_.workers, 0);
-  std::uint64_t base = 0;
-  for (;;) {
-    unsigned best = cfg_.workers;
-    std::uint64_t best_g = 0;
-    for (unsigned i = 0; i < cfg_.workers; ++i) {
-      if (pos[i] >= all[i][1]) continue;
-      const std::uint64_t g = all[i][2 + 2 * pos[i]];
-      if (best == cfg_.workers || g < best_g) {
-        best = i;
-        best_g = g;
-      }
-    }
-    if (best == cfg_.workers) break;
-    if (best == cfg_.index) scan_[pos[best]].base = base;
-    base += all[best][3 + 2 * pos[best]];
-    ++pos[best];
-  }
-  const std::uint64_t next_node_count = base;
-
-  // ---- staged transfers under the replicated (step, source) numbering ----
-  apply_staged_transfers(step, staged_base, staged_total);
-  (void)allgather({});
-  drain(batch_);
-  CLB_CHECK(batch_.empty(), "only transfers may be in flight after L3");
-
-  // ---- forward children into next-level nodes ----
-  for (const ScanEntry& e : scan_) {
-    for (std::uint32_t s = 0; s < e.count; ++s) {
-      Msg m;
-      m.kind = rt::MsgKind::kForward;
-      m.key = e.base + s;
-      m.a = e.child[s];
-      m.b = e.root;
-      send(e.child[s], std::move(m));
-    }
-  }
-  (void)allgather({});
-  drain(batch_);
-  next_nodes_.clear();
-  for (const Msg& m : batch_) {
-    CLB_DCHECK(m.kind == rt::MsgKind::kForward, "unexpected message in L5");
-    Node node;
-    node.slot = m.key;
-    node.proc = m.a;
-    node.root = m.b;
-    next_nodes_.push_back(std::move(node));
-  }
-  batch_.clear();
-  std::sort(next_nodes_.begin(), next_nodes_.end(),
-            [](const Node& a, const Node& b) { return a.slot < b.slot; });
-  nodes_.swap(next_nodes_);
-  return next_node_count;
-}
-
-void ShardEngine::send_transfer(std::uint64_t step, std::uint32_t root,
-                                std::uint32_t partner, std::uint64_t count) {
-  rt::RtProcessor& src = proc(root);
-  if (count == 0) return;
-  if (count > src.queue.size()) {
-    count = src.queue.size();
-    ++clamped_;
-  }
-  Msg m;
-  m.kind = rt::MsgKind::kTransfer;
-  m.key = root;
-  m.a = root;
-  m.b = partner;
-  src.queue.extract_back(count, m.payload);
-  src.tasks_sent += count;
-  ++msg_.transfers;
-  msg_.tasks_moved += count;
-  ledger_.push_back(rt::LedgerEntry{step, root, partner,
-                                    static_cast<std::uint32_t>(count)});
-  send(partner, std::move(m));
-}
-
-void ShardEngine::apply_staged_transfers(std::uint64_t step,
-                                         std::uint64_t base,
-                                         std::uint64_t total) {
-  // Canonical order: ascending source processor, as in rt. The global
-  // ordinal (base + local index) exists here only to keep transfer_seen_
-  // replicated; there is no drop hook on this transport.
-  (void)base;
-  std::sort(staged_.begin(), staged_.end(),
-            [](const Staged& a, const Staged& b) { return a.from < b.from; });
-  for (const Staged& st : staged_) {
-    send_transfer(step, st.from, st.to, cfg_.params.transfer_amount);
-  }
-  staged_.clear();
-  transfer_seen_ += total;
+void shard_worker_main(Endpoint control, std::vector<Endpoint> peers) {
+  Frame f = control.recv_frame();
+  CLB_CHECK(f.type == FrameType::kConfig,
+            "transport: worker expected kConfig as the first control frame");
+  Reader r(f.payload);
+  const ShardRunConfig cfg = ShardRunConfig::deserialize(r);
+  CLB_CHECK(r.exhausted(), "transport: trailing bytes after kConfig payload");
+  const std::unique_ptr<sim::LoadModel> model = cfg.model.make(cfg.n);
+  ShardEngine engine(cfg, *model, std::move(control), std::move(peers));
+  engine.serve();
 }
 
 }  // namespace clb::transport

@@ -1,40 +1,34 @@
-// The per-process shard engine: one worker process's half of the
-// cross-process runtime. Owns a contiguous processor shard, runs the exact
-// instant-fabric protocol schedule of rt::Runtime (generate/consume, then
-// for the threshold policy the classification / collision-round / query-tree
-// / staged-transfer supersteps), but every cross-shard interaction crosses a
-// real socket:
+// The per-process shard engine: one shard process's half of the
+// cross-process runtime. It runs an rt::ShardCore — the same step schedule,
+// protocol and determinism contract as rt::Runtime's worker threads — and
+// implements the core's exchange seam over real sockets:
 //
-//   * protocol messages accumulate into one per-peer batch and are flushed
-//     as a single kBatch frame at every barrier entry (per-link FIFO order
-//     means a drain that has consumed k batches from a peer has seen every
-//     message that peer sent before its k-th barrier — the superstep
-//     quiescence PhaseBarrier provided in one address space);
-//   * every barrier is an explicit control-plane exchange with the
-//     coordinator: kBarrier carries this worker's reduction blob (a u64
-//     vector), kRelease returns all workers' blobs — replacing the padded
-//     Slot arrays (loads, classification counts, active requests, staged
-//     counts) AND the leader scan: the scan lists ride the blobs and every
-//     worker runs the same merge, so the global child numbering needs no
-//     leader-owned memory.
+//   * send() serialises each message into one per-peer batch, flushed as a
+//     single kBatch frame at every allgather (per-link FIFO order means a
+//     drain that has consumed k batches from a peer has seen every message
+//     that peer sent before its k-th allgather — the superstep quiescence
+//     PhaseBarrier provides in one address space);
+//   * allgather() is an explicit control-plane exchange with the
+//     coordinator: kBarrier carries this shard's blob, kRelease returns all
+//     shards' blobs;
+//   * fence() is a no-op: batch-per-barrier accounting already makes a
+//     drain exact.
 //
-// The schedule's determinism contract is unchanged: canonical-key sorts,
-// count-based collision acceptance and prefix-scan transfer numbering make
-// the run bit-identical to rt::Runtime (and therefore sim::Engine) for any
-// shard count — which is precisely what lets the in-memory shadow convict a
+// What remains here is what is specific to the transport: the sockets, the
+// control loop serving coordinator commands, and state shipping. The run is
+// bit-identical to rt::Runtime (and therefore sim::Engine) for any shard
+// count — which is precisely what lets the in-memory shadow convict a
 // corrupted frame (see transport/shadow.hpp).
 #pragma once
 
-#include <chrono>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <vector>
 
 #include "collision/collision.hpp"
 #include "core/params.hpp"
 #include "obs/wire.hpp"
-#include "rt/runtime.hpp"
+#include "rt/config.hpp"
 #include "sim/counters.hpp"
 #include "stats/histogram.hpp"
 #include "transport/endpoint.hpp"
@@ -66,6 +60,9 @@ struct ShardRunConfig {
   std::uint64_t corrupt_transfer_frame = 0;
   ModelSpec model{};
 
+  /// The rt::RtConfig this shard's core runs under.
+  [[nodiscard]] rt::RtConfig rt_config() const;
+
   void serialize(Writer& w) const;
   [[nodiscard]] static ShardRunConfig deserialize(Reader& r);
 };
@@ -75,6 +72,9 @@ struct ShardRunConfig {
 struct ShardState {
   std::uint64_t begin = 0;
   std::uint64_t end = 0;
+  /// Storage of the queues deserialize() rebuilds; whoever keeps `procs`
+  /// keeps this arena alive with them.
+  std::unique_ptr<rt::TaskArena> arena = std::make_unique<rt::TaskArena>();
   std::vector<rt::RtProcessor> procs;  ///< [begin, end), protocol flags zeroed
   sim::MessageCounters msg;
   std::uint64_t clamped = 0;
@@ -96,117 +96,5 @@ struct ShardState {
 /// link to worker i (invalid at this worker's own index). Never returns
 /// normally — the caller _exit()s after it does.
 void shard_worker_main(Endpoint control, std::vector<Endpoint> peers);
-
-/// The engine itself. Exposed (rather than buried in shard_worker_main) so
-/// unit tests can drive a single-worker instance in-process.
-class ShardEngine {
- public:
-  ShardEngine(ShardRunConfig cfg, Endpoint control,
-              std::vector<Endpoint> peers);
-
-  /// Sends kConfigAck, then blocks serving coordinator commands until
-  /// kShutdown arrives.
-  void serve();
-
- private:
-  struct Node {
-    std::uint64_t slot = 0;
-    std::uint32_t proc = 0;
-    std::uint32_t root = 0;
-    std::uint32_t targets[16] = {};
-    std::uint32_t accepted_mask = 0;
-    std::uint32_t accept_count = 0;
-    std::uint32_t round_replies = 0;
-    bool active = false;
-    std::uint8_t pending_children = 0;
-    std::uint8_t status_nonapp = 0;
-    std::vector<std::uint32_t> accepted;
-  };
-
-  struct ScanEntry {
-    std::uint64_t g = 0;
-    std::uint64_t base = 0;
-    std::uint32_t root = 0;
-    std::uint32_t count = 0;
-    std::uint32_t child[2] = {};
-  };
-
-  struct Staged {
-    std::uint32_t from = 0;
-    std::uint32_t to = 0;
-  };
-
-  struct PeerChannel {
-    Endpoint ep;
-    Writer batch;                      // messages accumulated this superstep
-    std::uint32_t batch_count = 0;
-    std::uint64_t batches_consumed = 0;
-  };
-
-  void run(std::uint64_t steps);
-  void step_once(std::uint64_t step);
-  void run_phase(std::uint64_t step);
-  std::uint64_t run_level(std::uint64_t step, std::uint64_t phase_index,
-                          std::uint32_t level, std::uint64_t node_count);
-  void send(std::uint32_t dest_proc, Msg&& m);
-  void send_transfer(std::uint64_t step, std::uint32_t root,
-                     std::uint32_t partner, std::uint64_t count);
-  void apply_staged_transfers(std::uint64_t step, std::uint64_t base,
-                              std::uint64_t total);
-  void apply_transfer(const Msg& m);
-  void drain(std::vector<Msg>& out);
-  /// Barrier + allgather: flushes peer batches (threshold policy), sends
-  /// kBarrier with `blob`, blocks on kRelease, returns all workers' blobs
-  /// in worker order.
-  std::vector<std::vector<std::uint64_t>> allgather(
-      const std::vector<std::uint64_t>& blob);
-  void collect_state();
-  [[nodiscard]] unsigned owner_of(std::uint64_t p) const;
-  [[nodiscard]] rt::RtProcessor& proc(std::uint64_t p);
-  [[nodiscard]] std::uint32_t now_us() const;
-
-  ShardRunConfig cfg_;
-  std::unique_ptr<sim::LoadModel> model_;
-  Endpoint control_;
-  std::vector<PeerChannel> peers_;
-  std::vector<rt::RtProcessor> procs_;  // own shard only, index p - begin_
-  std::uint64_t begin_ = 0, end_ = 0;
-  std::uint64_t chunk_ = 1, extra_ = 0, split_ = 0;
-  bool flush_data_ = false;       // threshold policy keeps a data plane
-  std::uint64_t data_rounds_ = 0; // flushing barriers passed so far
-
-  // Lockstep protocol state (the exact Worker fields of rt::Runtime).
-  std::uint64_t step_base_ = 0;
-  std::uint64_t phase_epoch_ = 0, level_epoch_ = 0, round_epoch_ = 0;
-  std::uint64_t phase_count_ = 0;
-  std::uint64_t sys_load_ = 0;
-  std::uint64_t ph_requests_ = 0;
-  std::uint32_t ph_levels_ = 0, ph_rounds_ = 0;
-  std::vector<Node> nodes_, next_nodes_;
-  std::vector<std::uint32_t> heavy_local_;
-  std::vector<ScanEntry> scan_;
-  std::vector<Staged> staged_;
-  std::uint64_t transfer_seen_ = 0;
-  std::vector<Msg> self_pending_;
-  std::vector<Msg> batch_;
-  std::uint64_t phase_matched_ = 0;  // folded into the end-of-step blob
-
-  // Worker-0 aggregates for the phase summary.
-  std::vector<std::uint32_t> phase_heavy_all_;
-  std::uint64_t phase_light_total_ = 0;
-  std::vector<rt::RtPhaseSummary> phases_;
-  std::uint64_t running_max_ = 0;
-
-  // Outputs.
-  sim::MessageCounters msg_;
-  std::uint64_t clamped_ = 0;
-  std::uint64_t deposited_ = 0;
-  std::vector<rt::LedgerEntry> ledger_;
-  stats::IntHistogram sojourn_steps_, sojourn_us_;
-  obs::WireStats wire_;
-  std::uint64_t corrupt_countdown_seen_ = 0;  // kTransfer frames serialised
-
-  std::chrono::steady_clock::time_point start_tp_;
-};
 
 }  // namespace clb::transport

@@ -61,7 +61,7 @@ rt::RtTask deserialize_task(Reader& r) {
   return t;
 }
 
-void serialize_msg(Writer& w, const Msg& m) {
+void serialize_msg(Writer& w, const rt::Message& m) {
   w.u8(static_cast<std::uint8_t>(m.kind));
   w.u64(m.key);
   w.u32(m.a);
@@ -72,18 +72,18 @@ void serialize_msg(Writer& w, const Msg& m) {
   for (const rt::RtTask& t : m.payload) serialize_task(w, t);
 }
 
-Msg deserialize_msg(Reader& r) {
-  Msg m;
-  m.kind = static_cast<rt::MsgKind>(r.u8());
-  m.key = r.u64();
-  m.a = r.u32();
-  m.b = r.u32();
-  m.c = r.u32();
-  m.seq = r.seq_key();
+std::unique_ptr<rt::Message> deserialize_msg(Reader& r) {
+  auto m = std::make_unique<rt::Message>();
+  m->kind = static_cast<rt::MsgKind>(r.u8());
+  m->key = r.u64();
+  m->a = r.u32();
+  m->b = r.u32();
+  m->c = r.u32();
+  m->seq = r.seq_key();
   const std::uint32_t count = r.u32();
-  m.payload.reserve(count);
+  m->payload.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
-    m.payload.push_back(deserialize_task(r));
+    m->payload.push_back(deserialize_task(r));
   }
   return m;
 }

@@ -1,8 +1,8 @@
 // Payload serialisation for the cross-process transport: a bounds-checked
-// little-endian Writer/Reader pair (on top of net::wire), the subset of
-// rt::RtConfig a shard worker needs, a serialisable load-model spec (the
-// coordinator distributes the spec, each process constructs its own
-// identical model), and the protocol-message / final-state encodings.
+// little-endian Writer/Reader pair (on top of net::wire), a serialisable
+// load-model spec (the coordinator distributes the spec, each process
+// constructs its own identical model), and the protocol-message, task and
+// parameter encodings.
 #pragma once
 
 #include <bit>
@@ -106,22 +106,12 @@ struct ModelSpec {
   [[nodiscard]] static ModelSpec deserialize(Reader& r);
 };
 
-/// One protocol message on the wire — the value-type twin of rt::Message
-/// (no intrusive link; the fabric SeqKey rides along so the codec is
-/// complete for latency-fabric vocabularies even though the instant-mode
-/// protocol leaves it zero).
-struct Msg {
-  rt::MsgKind kind = rt::MsgKind::kQuery;
-  std::uint64_t key = 0;
-  std::uint32_t a = 0;
-  std::uint32_t b = 0;
-  std::uint32_t c = 0;
-  net::SeqKey seq{};
-  std::vector<rt::RtTask> payload;
-};
-
-void serialize_msg(Writer& w, const Msg& m);
-[[nodiscard]] Msg deserialize_msg(Reader& r);
+/// One rt::Message on the wire: kind, key, a/b/c and the payload tasks.
+/// The fabric SeqKey rides along so the codec is complete for
+/// latency-fabric vocabularies even though the instant schedule leaves it
+/// zero; the intrusive link and the latency-mode endpoints do not.
+void serialize_msg(Writer& w, const rt::Message& m);
+[[nodiscard]] std::unique_ptr<rt::Message> deserialize_msg(Reader& r);
 
 void serialize_task(Writer& w, const rt::RtTask& t);
 [[nodiscard]] rt::RtTask deserialize_task(Reader& r);

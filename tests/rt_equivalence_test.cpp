@@ -177,8 +177,7 @@ RunRecord run_sim(std::uint64_t n, std::uint64_t seed, std::uint64_t steps,
 
 RunRecord run_rt(std::uint64_t n, std::uint64_t seed, std::uint64_t steps,
                  WhichModel which, const core::PhaseParams& params,
-                 unsigned workers, bool arena = false,
-                 const sim::StealConfig& steal = {}) {
+                 unsigned workers, const sim::StealConfig& steal = {}) {
   auto model = make_model(which, n);
   rt::RtConfig cfg;
   cfg.n = n;
@@ -187,7 +186,6 @@ RunRecord run_rt(std::uint64_t n, std::uint64_t seed, std::uint64_t steps,
   cfg.deterministic = true;
   cfg.policy = rt::RtPolicy::kThreshold;
   cfg.params = params;
-  cfg.arena = arena;
   cfg.steal = steal;
   rt::Runtime run(cfg, model.get());
 
@@ -410,16 +408,12 @@ TEST(RtEquivalenceAir, ScatterDeterministicAcrossWorkers) {
   EXPECT_EQ(base, fingerprint(8));
 }
 
-// Scale knobs (the million-processor tentpole): the arena-backed SoA queue
-// layout must be invisible to every observable, and deterministic work
-// stealing must match a shadow engine running the same pure rule — both
-// for any worker count, in every on/off combination.
-class RtEquivalenceScale
-    : public ::testing::TestWithParam<std::tuple<bool, bool>> {};
+// Deterministic work stealing must match a shadow engine running the same
+// pure rule for any worker count, on or off.
+class RtEquivalenceScale : public ::testing::TestWithParam<bool> {};
 
-TEST_P(RtEquivalenceScale, ArenaAndStealMatchEngine) {
-  const bool arena = std::get<0>(GetParam());
-  const bool steal_on = std::get<1>(GetParam());
+TEST_P(RtEquivalenceScale, StealMatchesEngine) {
+  const bool steal_on = GetParam();
   const std::uint64_t n = 192;
   const std::uint64_t steps = 48;
   core::Fractions f;
@@ -437,25 +431,21 @@ TEST_P(RtEquivalenceScale, ArenaAndStealMatchEngine) {
   }
   for (unsigned workers : {1u, 2u, 8u}) {
     const RunRecord rt_r = run_rt(n, 2, steps, WhichModel::kBurst, params,
-                                  workers, arena, steal);
+                                  workers, steal);
     expect_equal(sim_r, rt_r,
-                 std::string("scale arena=") + (arena ? "on" : "off") +
-                     " steal=" + (steal_on ? "on" : "off") +
+                 std::string("scale steal=") + (steal_on ? "on" : "off") +
                      " workers=" + std::to_string(workers));
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    ArenaSteal, RtEquivalenceScale,
-    ::testing::Combine(::testing::Bool(), ::testing::Bool()),
+    Steal, RtEquivalenceScale, ::testing::Bool(),
     [](const auto& param_info) {
-      return std::string("arena_") +
-             (std::get<0>(param_info.param) ? "on" : "off") + "_steal_" +
-             (std::get<1>(param_info.param) ? "on" : "off");
+      return std::string("steal_") + (param_info.param ? "on" : "off");
     });
 
-// One 2^16-processor point: the tentpole's target regime (scaled down in
-// steps) with arena and stealing both on stays bit-identical to the engine.
+// One 2^16-processor point: the arena queue layout at scale (scaled down in
+// steps) with stealing on stays bit-identical to the engine.
 TEST(RtEquivalenceScale64k, ArenaStealMatchesEngine) {
   const std::uint64_t n = 1ULL << 16;
   const std::uint64_t steps = 24;
@@ -470,7 +460,7 @@ TEST(RtEquivalenceScale64k, ArenaStealMatchesEngine) {
   EXPECT_GT(sim_r.steal_events, 0u);
   for (unsigned workers : {1u, 4u}) {
     const RunRecord rt_r = run_rt(n, 3, steps, WhichModel::kBurst, params,
-                                  workers, true, steal);
+                                  workers, steal);
     expect_equal(sim_r, rt_r, "n64k workers=" + std::to_string(workers));
   }
 }

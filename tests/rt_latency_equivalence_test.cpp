@@ -166,7 +166,7 @@ RunRecord run_dist(const Lockstep& su) {
 }
 
 RunRecord run_rt(const Lockstep& su, unsigned workers,
-                 std::uint64_t skew_message = 0, bool arena = false) {
+                 std::uint64_t skew_message = 0) {
   auto model = make_model();
   rt::RtConfig cfg;
   cfg.n = su.n;
@@ -179,7 +179,6 @@ RunRecord run_rt(const Lockstep& su, unsigned workers,
   cfg.topology = su.topology;
   cfg.link = su.link;
   cfg.delay_skew_message = skew_message;
-  cfg.arena = arena;
   rt::Runtime run(cfg, model.get());
 
   const std::vector<Spike> spikes = spikes_for(su.seed, su.n);
@@ -408,9 +407,8 @@ TEST(RtLatencyLinks, AllKnobsTogetherMatchesDist) {
   }
 }
 
-// The arena-backed queue layout must be invisible under the latency fabric
-// too, shaped links included. (Work stealing is instant-fabric only, so the
-// latency tier carries just the arena dimension of the scale grid.)
+// The arena queue layout must be invisible under the latency fabric too,
+// jittered links included, at every worker count.
 TEST(RtLatencyArena, ArenaMatchesDistForAllWorkerCounts) {
   Lockstep su(128);
   su.seed = 2;
@@ -419,7 +417,7 @@ TEST(RtLatencyArena, ArenaMatchesDistForAllWorkerCounts) {
   const RunRecord dist_r = run_dist(su);
   ASSERT_GT(total_transferred(dist_r), 0u);
   for (unsigned workers : {1u, 2u, 8u}) {
-    expect_equal(dist_r, run_rt(su, workers, 0, /*arena=*/true),
+    expect_equal(dist_r, run_rt(su, workers),
                  "arena workers=" + std::to_string(workers));
   }
 }

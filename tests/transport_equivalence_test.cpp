@@ -6,12 +6,16 @@
 // must be convicted by the shadow cross-check and by nothing weaker.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/params.hpp"
 #include "models/burst.hpp"
+#include "obs/telemetry.hpp"
+#include "rt/runtime.hpp"
 #include "transport/process_runtime.hpp"
 #include "transport/shadow.hpp"
 
@@ -67,8 +71,10 @@ ShardRunConfig make_cfg(std::uint64_t n, std::uint64_t seed,
   return c;
 }
 
-/// Drives the run()/deposit() interleave of rt_equivalence_test's run_rt.
-void drive(ProcessRuntime& pr, std::uint64_t steps, std::uint64_t seed,
+/// Drives the run()/deposit() interleave of rt_equivalence_test's run_rt on
+/// either executor.
+template <typename Executor>
+void drive(Executor& pr, std::uint64_t steps, std::uint64_t seed,
            std::uint64_t n) {
   const std::vector<Spike> spikes = spikes_for(seed, n);
   std::uint64_t done = 0;
@@ -211,6 +217,36 @@ TEST(TransportSeam, RtConfigConstructor) {
   EXPECT_TRUE(rep.ok) << rep.divergence;
 }
 
+// workers = 0 resolves by one rule on both executors (rt::resolve_workers):
+// hardware_concurrency, clamped to n — and on the socket transports to the
+// shard-process cap, so a large host cannot trip it.
+TEST(TransportSeam, ZeroWorkersResolveLikeTheRuntime) {
+  rt::RtConfig cfg;
+  cfg.n = 3;
+  cfg.seed = 4;
+  cfg.workers = 0;
+  cfg.policy = rt::RtPolicy::kNone;
+  const unsigned expect = static_cast<unsigned>(std::min<std::uint64_t>(
+      std::max(1u, std::thread::hardware_concurrency()), cfg.n));
+
+  // Fork before the in-proc runtime spawns its threads.
+  rt::RtConfig wire_cfg = cfg;
+  wire_cfg.transport = rt::Transport::kUds;
+  ProcessRuntime uds(wire_cfg, spec_for(WhichModel::kSingle));
+  const auto model = spec_for(WhichModel::kSingle).make(cfg.n);
+  rt::Runtime inproc(cfg, model.get());
+  EXPECT_EQ(inproc.worker_count(), expect);
+  EXPECT_EQ(uds.worker_count(), expect);
+  uds.run(8);
+  const ShadowReport rep = shadow_check(uds);
+  EXPECT_TRUE(rep.ok) << rep.divergence;
+
+  wire_cfg.n = 1ULL << 20;
+  EXPECT_LE(rt::resolve_workers(wire_cfg), rt::kMaxShardProcesses);
+  cfg.workers = 5;  // explicit counts pass through, clamped to n
+  EXPECT_EQ(rt::resolve_workers(cfg), 3u);
+}
+
 // The frame-corrupt mutation: worker 0 flips one bit in the first task of
 // its first remote kTransfer payload BEFORE the frame is signed. The CRC
 // accepts the frame, sequence numbers stay clean, every counter remains
@@ -246,6 +282,48 @@ TEST(TransportMutation, SameScenarioCleanPasses) {
   drive(pr, 48, 1, n);
   const ShadowReport rep = shadow_check(pr);
   EXPECT_TRUE(rep.ok) << rep.divergence;
+}
+
+// The superstep schedule's barrier count is deterministic in lockstep, so
+// it is pinned exactly: a refactor that adds a fence or a reduction (or
+// drops one) fails here. Per worker, a plain step crosses one barrier (the
+// closing load reduction); a phase step adds the classification reduction,
+// and in process 4 crossings per collision round (R1, the R2 fence, R2, the
+// active-count reduction) and 8 per tree level (children, the L2 fence, L2,
+// the staged-count/scan reduction, transfers, the transfer-drain fence,
+// forwards, the L5 fence). Over the wire the fences are no-ops: 3 per round
+// and 5 per level.
+constexpr std::uint64_t kPinnedInProcBarriers = 120;
+constexpr std::uint64_t kPinnedWireBarriers = 100;
+
+TEST(BarrierSchedule, PinnedPerStepInProcAndOverUds) {
+  if (!obs::kTelemetryCompiled) GTEST_SKIP() << "telemetry compiled out";
+  const std::uint64_t n = 192;
+  const std::uint64_t steps = 48;
+  const std::uint64_t seed = 1;
+  const ShardRunConfig sc = make_cfg(n, seed, 2, WhichModel::kSingle);
+
+  rt::RtConfig rc = sc.rt_config();
+  rc.telemetry = true;
+  const auto model = sc.model.make(n);
+  rt::Runtime inproc(rc, model.get());
+  drive(inproc, steps, seed, n);
+  const std::uint64_t inproc_per_worker =
+      inproc.telemetry_total().barrier_waits / rc.workers;
+
+  ProcessRuntime uds(sc, WireKind::kUds);
+  drive(uds, steps, seed, n);
+  const std::uint64_t wire_per_shard = uds.wire_stats().barriers / sc.workers;
+
+  std::uint64_t inproc_formula = steps, wire_formula = steps;
+  for (const rt::RtPhaseSummary& ps : inproc.phases()) {
+    inproc_formula += 1 + 4 * ps.collision_rounds + 8 * ps.levels_used;
+    wire_formula += 1 + 3 * ps.collision_rounds + 5 * ps.levels_used;
+  }
+  EXPECT_EQ(inproc_per_worker, inproc_formula);
+  EXPECT_EQ(wire_per_shard, wire_formula);
+  EXPECT_EQ(inproc_per_worker, kPinnedInProcBarriers);
+  EXPECT_EQ(wire_per_shard, kPinnedWireBarriers);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "net/wire.hpp"
@@ -209,7 +210,7 @@ TEST(FrameReaderTest, FirstFrameMustBeSeqOne) {
 // ---------------------------------------------------------------------------
 
 TEST(PayloadCodec, MsgRoundTrip) {
-  Msg m;
+  rt::Message m;
   m.kind = rt::MsgKind::kTransfer;
   m.key = 0x1234567890ABCDEFull;
   m.a = 17;
@@ -221,7 +222,8 @@ TEST(PayloadCodec, MsgRoundTrip) {
   Writer w;
   serialize_msg(w, m);
   Reader r(w.data());
-  const Msg back = deserialize_msg(r);
+  const std::unique_ptr<rt::Message> decoded = deserialize_msg(r);
+  const rt::Message& back = *decoded;
   EXPECT_TRUE(r.exhausted());
   EXPECT_EQ(back.kind, m.kind);
   EXPECT_EQ(back.key, m.key);
@@ -283,7 +285,7 @@ TEST(PayloadCodec, ShardStateRoundTrip) {
   s.begin = 10;
   s.end = 12;
   s.procs.resize(2);
-  s.procs[0].queue.push_back(rt::RtTask{sim::Task{1, 10, 1}, 0});
+  s.procs[0].queue.push_back(rt::RtTask{sim::Task{1, 10, 1}, 0}, *s.arena);
   s.procs[0].generated = 5;
   s.procs[1].consumed = 3;
   s.procs[1].tasks_received = 2;

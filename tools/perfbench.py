@@ -54,42 +54,36 @@ Document schema (clb.bench_rt.v1):
                "wire_barrier_rtt_p99_us": .., "wire_kb_per_step": ..},
               ...],
     # with --exp27: the EXP-27 million-processor scaling grid (bench_rt
-    # --scaling-grid: n x workers x queue layout, deterministic). Arena
-    # rows also carry arena_bytes and the arena_over_fifo throughput
-    # ratio against the fifo row of the same point; arena_steal rows add
-    # steal_events / stolen_tasks.
-    "exp27": [{"n": .., "workers": .., "layout": "fifo"|"arena"|
-               "arena_steal", "tasks_per_sec": .., "wall_seconds": ..,
-               "consumed": .., "max_load": ..}, ...]
+    # --scaling-grid: n x workers x {arena, arena_steal}, deterministic).
+    # arena_steal rows add steal_events / stolen_tasks.
+    "exp27": [{"n": .., "workers": .., "layout": "arena"|"arena_steal",
+               "tasks_per_sec": .., "wall_seconds": .., "consumed": ..,
+               "max_load": .., "arena_bytes": ..}, ...]
   }
 
 The exp24/exp25/exp26/exp27 sections are optional (schema stays
 clb.bench_rt.v1); baselines recorded without them keep comparing cleanly —
---compare only reads "runs".
+--compare reads "runs", plus the "exp27" arena rows when both documents
+carry them.
 
 The >1.5x speedup gate (threshold policy, max vs 1 worker) only arms when
 the host has at least --min-cores-for-gate real cores: worker threads on a
 single-core CI box are concurrency, not parallelism, and a throughput
 assertion there measures the scheduler, not the runtime.
 
-The EXP-27 arena gate is different: the arena-over-fifo ratio compares two
-same-host, same-shape runs that differ only in queue layout, so it is a
-cache-layout measurement, not a parallelism one — it arms regardless of
-core count whenever --exp27 ran (outside --smoke). At the largest grid n,
-the best arena row must beat the fifo baseline by --min-arena-ratio
-(default 1.05x).
-
 --compare OLD.json turns the run into a perf-trajectory gate: each fresh
 run's tasks_per_sec is checked against the matching (model, policy,
-workers) run in the committed baseline, and a drop beyond the tolerance
-fails the build. The tolerance defaults to 0.35 (fresh >= 0.65x baseline)
+workers) run in the committed baseline, and with --exp27 each arena row's
+tasks_per_sec against the matching (n, workers) arena row; a drop beyond
+the tolerance fails the build. The tolerance defaults to 0.35 (fresh >= 0.65x baseline)
 because CI hosts are shared and noisy; tune it per-host with
 --compare-tolerance or the CLB_PERF_TOLERANCE environment variable (the
 flag wins). The comparison disarms itself — with a warning, not a failure —
 when the baseline was recorded on a host with a different
-hardware_concurrency or when the current host is below
---min-cores-for-gate: comparing throughput across machine shapes gates the
-hardware, not the code.
+hardware_concurrency: comparing throughput across machine shapes gates the
+hardware, not the code. The "runs" comparison also disarms below
+--min-cores-for-gate; the exp27 arena rows do not — a 1-worker grid row
+measures the queue data path, not parallelism.
 
 Exit status: 0 = document written (and every armed gate passed);
 1 = bench failed, schema invalid, or an armed gate tripped.
@@ -159,13 +153,13 @@ EXP26_FIELDS = [
 ]
 
 # Per-grid-point gauges of the EXP-27 scaling grid (--exp27). Every layout
-# row carries these; arena rows add arena_bytes (+ arena_over_fifo), and
-# arena_steal rows add steal_events / stolen_tasks.
+# row carries these; arena_steal rows add steal_events / stolen_tasks.
 EXP27_FIELDS = [
     "tasks_per_sec",
     "wall_seconds",
     "consumed",
     "max_load",
+    "arena_bytes",
 ]
 
 # Wire accounting, present only on socket-backed substrates (uds/tcp).
@@ -348,7 +342,7 @@ def assemble(gauges: dict, args: argparse.Namespace) -> dict:
         doc["exp25"] = exp25
     if args.exp27:
         rx = re.compile(
-            r"^exp27\.n(\d+)\.w(\d+)\.(fifo|arena|arena_steal)"
+            r"^exp27\.n(\d+)\.w(\d+)\.(arena|arena_steal)"
             r"\.tasks_per_sec$")
         points = sorted((int(m.group(1)), int(m.group(2)), m.group(3))
                         for name in gauges if (m := rx.match(name)))
@@ -360,12 +354,9 @@ def assemble(gauges: dict, args: argparse.Namespace) -> dict:
             point = {"n": gn, "workers": w, "layout": layout}
             for field in EXP27_FIELDS:
                 point[field] = gauges[prefix + field]
-            for field in ("arena_bytes", "steal_events", "stolen_tasks"):
+            for field in ("steal_events", "stolen_tasks"):
                 if prefix + field in gauges:
                     point[field] = gauges[prefix + field]
-            ratio_key = f"exp27.n{gn}.w{w}.arena_over_fifo"
-            if layout == "arena" and ratio_key in gauges:
-                point["arena_over_fifo"] = gauges[ratio_key]
             exp27.append(point)
         doc["exp27"] = exp27
     return doc
@@ -419,15 +410,11 @@ def validate(doc: dict) -> None:
         if not isinstance(points, list) or not points:
             fail("exp27 present but not a non-empty list")
         for i, point in enumerate(points):
-            if point.get("layout") not in ("fifo", "arena", "arena_steal"):
+            if point.get("layout") not in ("arena", "arena_steal"):
                 fail(f"exp27[{i}].layout missing or unknown")
             for key in ("n", "workers", *EXP27_FIELDS):
                 if not isinstance(point.get(key), (int, float)):
                     fail(f"exp27[{i}].{key} missing or not numeric")
-            if point["layout"] == "arena":
-                for key in ("arena_bytes", "arena_over_fifo"):
-                    if not isinstance(point.get(key), (int, float)):
-                        fail(f"exp27[{i}].{key} missing on an arena row")
             if point["layout"] == "arena_steal":
                 for key in ("steal_events", "stolen_tasks"):
                     if not isinstance(point.get(key), (int, float)):
@@ -465,25 +452,24 @@ def gate(doc: dict, args: argparse.Namespace) -> None:
         print(f"perfbench: {key} = {speedup:.2f} (>= {args.min_speedup}) ok")
 
 
-def gate_exp27(doc: dict, args: argparse.Namespace) -> None:
-    """The arena-over-fifo gate: same host, same shape, only the queue
-    layout differs — a cache-layout measurement that needs no parallelism,
-    so (unlike the speedup gate) it arms regardless of core count."""
-    points = doc.get("exp27", [])
-    ratios = {}
-    for p in points:
-        if p["layout"] == "arena":
-            ratios.setdefault(p["n"], []).append(p["arena_over_fifo"])
-    if not ratios:
-        fail("exp27 gate: no arena rows recorded")
-    top_n = max(ratios)
-    best = max(ratios[top_n])
-    if best < args.min_arena_ratio:
-        fail(f"exp27 arena gate: best arena_over_fifo at n={top_n} is "
-             f"{best:.2f}x < required {args.min_arena_ratio}x — the arena "
-             f"layout no longer beats the pointer-FIFO baseline")
-    print(f"perfbench: exp27 arena gate armed — arena_over_fifo at "
-          f"n={top_n} is {best:.2f}x (>= {args.min_arena_ratio}x) ok")
+def check_drops(pairs, tol: float, what: str) -> int:
+    """Fails on the first (label, fresh, old) tasks/sec pair below the
+    tolerance floor; returns how many pairs were compared."""
+    worst = None
+    for label, fresh, old in pairs:
+        ratio = fresh / old
+        if worst is None or ratio < worst[1]:
+            worst = (label, ratio)
+        if ratio < 1.0 - tol:
+            fail(f"throughput regression: {label} tasks_per_sec "
+                 f"{fresh:.0f} is {ratio:.2f}x baseline {old:.0f} (floor "
+                 f"{1.0 - tol:.2f}x; raise the tolerance via "
+                 f"--compare-tolerance or CLB_PERF_TOLERANCE if this host "
+                 f"is known-noisy)")
+    if worst is not None:
+        print(f"perfbench: compare ok — {len(pairs)} {what} within "
+              f"{tol:.2f} of baseline (worst {worst[0]} at {worst[1]:.2f}x)")
+    return len(pairs)
 
 
 def compare(doc: dict, args: argparse.Namespace) -> None:
@@ -506,13 +492,6 @@ def compare(doc: dict, args: argparse.Namespace) -> None:
               f"hardware, not the code. Refresh the baseline on a "
               f">= {args.min_cores_for_gate}-core runner with: {refresh}")
         return
-    if hw_now < args.min_cores_for_gate:
-        print(f"perfbench: compare disarmed — this host has {hw_now} cores, "
-              f"below the {args.min_cores_for_gate}-core floor (worker "
-              f"threads there are concurrency, not parallelism). Record and "
-              f"compare baselines on a >= {args.min_cores_for_gate}-core "
-              f"runner with: {refresh}")
-        return
 
     tol = args.compare_tolerance
     if tol is None:
@@ -524,33 +503,41 @@ def compare(doc: dict, args: argparse.Namespace) -> None:
     if not 0.0 <= tol < 1.0:
         fail(f"compare tolerance {tol} outside [0, 1)")
 
+    if "exp27" in doc:
+        # Arena rows only: a 1-worker grid row measures the queue data path,
+        # not parallelism, so this arms on any core count.
+        old27 = {(p["n"], p["workers"]): p["tasks_per_sec"]
+                 for p in base.get("exp27", []) if p.get("layout") == "arena"}
+        pairs = [(f"exp27.n{p['n']}.w{p['workers']}.arena",
+                  p["tasks_per_sec"], old27[(p["n"], p["workers"])])
+                 for p in doc["exp27"]
+                 if p["layout"] == "arena"
+                 and old27.get((p["n"], p["workers"]), 0) > 0]
+        if check_drops(pairs, tol, "exp27 arena rows") == 0:
+            fail(f"baseline {args.compare!r} shares no exp27 arena (n, "
+                 f"workers) rows with this grid — nothing compared")
+
+    if hw_now < args.min_cores_for_gate:
+        print(f"perfbench: runs compare disarmed — this host has {hw_now} "
+              f"cores, below the {args.min_cores_for_gate}-core floor (worker "
+              f"threads there are concurrency, not parallelism). Record and "
+              f"compare baselines on a >= {args.min_cores_for_gate}-core "
+              f"runner with: {refresh}")
+        return
     baseline = {
         (r["model"], r["policy"], r["workers"]): r["tasks_per_sec"]
         for r in base.get("runs", [])
     }
-    compared = 0
-    worst = None
+    pairs = []
     for run in doc["runs"]:
         key = (run["model"], run["policy"], run["workers"])
         old = baseline.get(key)
-        if old is None or old <= 0:
-            continue
-        compared += 1
-        ratio = run["tasks_per_sec"] / old
-        label = f"{key[0]}.{key[1]}.w{key[2]}"
-        if worst is None or ratio < worst[1]:
-            worst = (label, ratio)
-        if ratio < 1.0 - tol:
-            fail(f"throughput regression: {label} tasks_per_sec "
-                 f"{run['tasks_per_sec']:.0f} is {ratio:.2f}x baseline "
-                 f"{old:.0f} (floor {1.0 - tol:.2f}x; raise the tolerance "
-                 f"via --compare-tolerance or CLB_PERF_TOLERANCE if this "
-                 f"host is known-noisy)")
-    if compared == 0:
+        if old is not None and old > 0:
+            pairs.append((f"{key[0]}.{key[1]}.w{key[2]}",
+                          run["tasks_per_sec"], old))
+    if check_drops(pairs, tol, "runs") == 0:
         fail(f"baseline {args.compare!r} shares no (model, policy, workers) "
              f"runs with this configuration — nothing compared")
-    print(f"perfbench: compare ok — {compared} runs within {tol:.2f} of "
-          f"baseline (worst {worst[0]} at {worst[1]:.2f}x)")
 
 
 def main() -> int:
@@ -578,12 +565,9 @@ def main() -> int:
                          "and record it under 'exp26'")
     ap.add_argument("--exp27", action="store_true",
                     help="also run the EXP-27 million-processor scaling grid "
-                         "(bench_rt --scaling-grid: n x workers x queue "
-                         "layout) and record it under 'exp27'; arms the "
-                         "arena-over-fifo gate outside --smoke")
-    ap.add_argument("--min-arena-ratio", type=float, default=1.05,
-                    help="required arena-over-fifo throughput ratio at the "
-                         "largest exp27 grid n (armed on any core count)")
+                         "(bench_rt --scaling-grid: n x workers x {arena, "
+                         "arena_steal}) and record it under 'exp27'; "
+                         "--compare then also gates its arena rows")
     ap.add_argument("--bench-transport", default="build/bench/bench_transport",
                     help="path to the bench_transport binary (--exp26)")
     ap.add_argument("--exp26-workers", default="2,4",
@@ -603,7 +587,8 @@ def main() -> int:
                     help="arm the speedup gate only at this many real cores")
     ap.add_argument("--compare", default="",
                     help="baseline BENCH_rt.json; fail if any matching run's "
-                         "tasks_per_sec drops by more than the tolerance")
+                         "(or exp27 arena row's) tasks_per_sec drops by more "
+                         "than the tolerance")
     ap.add_argument("--compare-tolerance", type=float, default=None,
                     help="allowed fractional throughput drop vs baseline "
                          "(default 0.35; CLB_PERF_TOLERANCE overrides the "
@@ -653,8 +638,6 @@ def main() -> int:
     validate(doc)
     if not args.smoke:
         gate(doc, args)
-        if "exp27" in doc:
-            gate_exp27(doc, args)
     if args.compare:
         compare(doc, args)
 
