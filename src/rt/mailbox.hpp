@@ -1,17 +1,20 @@
-// Lock-free MPSC mailbox (Vyukov-style intrusive queue) and the message
-// vocabulary of the concurrent runtime.
+// Lock-free MPSC mailbox and the message vocabulary of the concurrent
+// runtime.
 //
 // Every worker owns exactly one mailbox; any worker (including the owner)
-// may push, only the owner pops. Push is a single XCHG on the head plus one
-// release store to link the predecessor — wait-free, no CAS loop, no locks.
-// Pop is single-consumer and lock-free. The runtime drains mailboxes only at
-// superstep boundaries (after a barrier, when all producers have quiesced),
-// so the transient "pushed but not yet linked" window Vyukov's pop can
-// observe never makes drain() miss a message.
+// may push, only the owner drains. It is Vyukov's intrusive queue: a push
+// is one XCHG on the head plus one release store linking the predecessor,
+// and a drain walks the links from the tail in push order. Every message
+// carries the sender's barrier-crossing count, and a drain hands out only
+// messages stamped before the drainer's own count — everything sent before
+// its last crossing. A faster producer may already be pushing its next
+// superstep's messages; those stay queued for the next drain, so the
+// runtime drains without fencing its own sends.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <thread>
 #include <vector>
 
 #include "net/delivery.hpp"
@@ -62,6 +65,7 @@ enum class MsgKind : std::uint8_t {
 /// carrying the dist Message payloads (root/count, level/applicative).
 struct Message {
   std::atomic<Message*> next{nullptr};  // intrusive MPSC link
+  std::uint64_t crossing = 0;  // sender's barrier crossings at send time
   MsgKind kind = MsgKind::kQuery;
   std::uint64_t key = 0;
   std::uint32_t a = 0;
@@ -85,79 +89,53 @@ class Mailbox {
   Mailbox& operator=(const Mailbox&) = delete;
 
   ~Mailbox() {
-    while (Message* m = pop()) delete m;
+    drain(~std::uint64_t{0}, [](Message* m) { delete m; });
   }
 
   /// Wait-free from any thread.
   void push(Message* m) {
     m->next.store(nullptr, std::memory_order_relaxed);
     Message* prev = head_.exchange(m, std::memory_order_acq_rel);
-    // Between the exchange and this store the chain is broken; pop() reports
-    // empty rather than blocking if it catches the window.
+    // Between the exchange and this store the chain is broken; drain()
+    // waits out the window when it needs the link.
     prev->next.store(m, std::memory_order_release);
   }
 
-  /// Owner thread only. Returns nullptr when empty — or when a producer is
-  /// mid-push (the runtime never pops concurrently with pushes, so there a
-  /// null really means empty).
-  Message* pop() {
-    Message* tail = tail_;
-    Message* next = tail->next.load(std::memory_order_acquire);
-    if (tail == &stub_) {
-      if (next == nullptr) return nullptr;
-      tail_ = next;
-      tail = next;
-      next = next->next.load(std::memory_order_acquire);
-    }
-    if (next != nullptr) {
-      tail_ = next;
-      return tail;
-    }
-    // tail is the last linked node. If a producer has exchanged head_ but
-    // not linked yet, report empty; otherwise re-insert the stub behind the
-    // final node so it can be handed out.
-    if (tail != head_.load(std::memory_order_acquire)) return nullptr;
-    push(&stub_);
-    next = tail->next.load(std::memory_order_acquire);
-    if (next != nullptr) {
-      tail_ = next;
-      return tail;
-    }
-    return nullptr;
-  }
-
-  /// Batched drain: detaches the entire pending chain and invokes `f` on
-  /// every message in FIFO order (identical to the order a pop() loop would
-  /// deliver — the bit-identity of batched vs per-message draining is by
-  /// construction). Returns the batch size.
-  ///
-  /// Owner thread only, and ONLY at a quiescent point: all producers must
-  /// have passed a barrier since their last push. That is exactly when the
-  /// runtime drains (see the file header), and it is what lets this replace
-  /// a pop() loop's per-message acquire/stub-cycling with one head read and
-  /// a plain pointer walk — the batched-drain amortisation of the scaling
-  /// work. `f` may delete the message; the next link is read first.
+  /// Owner thread only; safe against concurrent pushes. Invokes `f`, in
+  /// push order, on every message stamped with a crossing below `crossing`
+  /// and returns how many; later-stamped messages stay queued. A message
+  /// sent before the sender's k-th barrier arrival is pushed and linked
+  /// before any party returns from that barrier, and everything stamped k
+  /// or later is pushed after, so after the drainer's k-th crossing the
+  /// messages stamped below k are a fully linked prefix of the queue. `f`
+  /// may delete the message.
   template <typename F>
-  std::uint64_t drain_all(F&& f) {
-    Message* const last = head_.load(std::memory_order_acquire);
-    if (last == &stub_ && tail_ == &stub_) return 0;
-    Message* cur = tail_;
-    if (cur == &stub_) cur = stub_.next.load(std::memory_order_acquire);
-    // Reset to the empty state before processing; at a quiescent point no
-    // producer can observe the intermediate states.
-    stub_.next.store(nullptr, std::memory_order_relaxed);
-    tail_ = &stub_;
-    head_.store(&stub_, std::memory_order_release);
+  std::uint64_t drain(std::uint64_t crossing, F&& f) {
     std::uint64_t count = 0;
-    while (cur != nullptr) {
-      Message* const next = cur->next.load(std::memory_order_acquire);
-      const bool done = cur == last;
-      f(cur);
+    for (;;) {
+      Message* tail = tail_;
+      Message* next = tail->next.load(std::memory_order_acquire);
+      if (tail == &stub_) {
+        if (next == nullptr) return count;  // empty
+        tail_ = next;
+        tail = next;
+        next = next->next.load(std::memory_order_acquire);
+      }
+      if (tail->crossing >= crossing) return count;  // a later superstep's
+      if (next == nullptr) {
+        // `tail` is the last linked message. If it is also the last pushed,
+        // re-insert the stub behind it so it can be handed out; otherwise
+        // a producer is between its exchange and its link — wait for it.
+        if (tail == head_.load(std::memory_order_acquire)) push(&stub_);
+        while ((next = tail->next.load(std::memory_order_acquire)) ==
+               nullptr) {
+          std::this_thread::yield();
+        }
+      }
+      tail_ = next;
+      f(tail);
       ++count;
-      if (done) break;
-      cur = next;
     }
-    return count;
   }
 
  private:

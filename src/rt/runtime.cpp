@@ -92,17 +92,28 @@ struct alignas(64) Runtime::Worker final : ShardCore {
   void send(std::uint32_t dest_proc, Message* m) override;
   void drain(std::vector<Message*>& out) override;
   const Blobs& allgather(std::span<const std::uint64_t> blob) override;
-  /// A step_barrier_ crossing. With telemetry on it uses the timed variant
-  /// and books the wait into the worker's stall accounts.
-  void fence() override;
+  /// A step_barrier_ crossing: allgather()'s, and the runtime's own
+  /// shared-board supersteps' (crash re-homing, zoo and steal boards,
+  /// scatter, the forced-phase discard). With telemetry on it uses the
+  /// timed variant and books the wait into the worker's stall accounts.
+  void barrier();
+  /// A crossing that books nothing (the snapshot emitter's).
+  void barrier_untimed();
   /// drain() variant that collects kTransfer messages into `out` instead of
   /// applying them on arrival — the zoo policies and the steal pass sort
   /// arrivals by sender before applying (several senders may target one
   /// receiver, so arrival order is not canonical there).
   void drain_collect(std::vector<Message*>& out);
+  /// Hands `f` exactly the messages sent here before this worker's last
+  /// crossing (see rt/mailbox.hpp), booking the drain in telemetry.
+  template <typename F>
+  void drain_inbox(F&& f);
 
   Runtime& host;
   Mailbox inbox;
+  // step_barrier_ crossings so far; every worker crosses the same sequence,
+  // so a send stamped with it names the superstep it belongs to.
+  std::uint64_t crossings = 0;
   // allgather() buffers, double-buffered by parity: a worker rewrites its
   // parity-p blob only after crossing the next allgather's barrier, which
   // every reader of the previous parity-p exchange has reached by then.
@@ -160,7 +171,7 @@ Runtime::Runtime(RtConfig cfg, sim::LoadModel* model)
       model_(model),
       map_(cfg.n, std::max(1u, resolve_workers(cfg))),
       step_barrier_(resolve_workers(cfg)),
-      cmd_barrier_(resolve_workers(cfg) + 1),
+      cmd_barrier_(resolve_workers(cfg)),
       start_tp_(std::chrono::steady_clock::now()) {
   CLB_CHECK(model_ != nullptr, "runtime needs a load model");
   CLB_CHECK(!model_->serial_generation(),
@@ -269,7 +280,8 @@ Runtime::Runtime(RtConfig cfg, sim::LoadModel* model)
   for (const auto& wk : workers_) {
     wk->procs = std::span(procs_).subspan(wk->begin, wk->end - wk->begin);
   }
-  for (unsigned i = 0; i < w; ++i) {
+  // The caller of run() is worker 0; the others get threads of their own.
+  for (unsigned i = 1; i < w; ++i) {
     Worker* wp = workers_[i].get();
     wp->thread = std::thread([this, wp] {
       // Adopt the shard index as this thread's worker ID so trace events
@@ -296,6 +308,10 @@ void Runtime::run(std::uint64_t steps) {
   cmd_steps_ = steps;
   const auto t0 = std::chrono::steady_clock::now();
   cmd_barrier_.arrive_and_wait();  // release the workers
+  const unsigned caller_index = util::ThreadPool::worker_index();
+  util::ThreadPool::bind_worker_index(0);
+  run_steps(*workers_[0]);
+  util::ThreadPool::bind_worker_index(caller_index);
   cmd_barrier_.arrive_and_wait();  // wait for completion
   wall_seconds_ +=
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -307,11 +323,13 @@ void Runtime::worker_main(Worker& w) {
   for (;;) {
     cmd_barrier_.arrive_and_wait();
     if (cmd_stop_) return;
-    const std::uint64_t base = step_base_;
-    const std::uint64_t count = cmd_steps_;
-    for (std::uint64_t s = 0; s < count; ++s) w.step_once(base + s);
+    run_steps(w);
     cmd_barrier_.arrive_and_wait();
   }
+}
+
+void Runtime::run_steps(Worker& w) {
+  for (std::uint64_t s = 0; s < cmd_steps_; ++s) w.step_once(step_base_ + s);
 }
 
 // ---- the in-process exchange seam ----
@@ -338,10 +356,12 @@ void Runtime::Worker::send(std::uint32_t dest_proc, Message* m) {
     if (telemetry) ++telem.enq_remote;
 #endif
   }
+  m->crossing = crossings;
   dst.inbox.push(m);
 }
 
-void Runtime::Worker::fence() {
+void Runtime::Worker::barrier() {
+  ++crossings;
 #if CLB_TELEMETRY_ENABLED
   if (telemetry) {
     const std::uint64_t ns = host.step_barrier_.arrive_and_wait_timed();
@@ -357,20 +377,39 @@ void Runtime::Worker::fence() {
   host.step_barrier_.arrive_and_wait();
 }
 
+void Runtime::Worker::barrier_untimed() {
+  ++crossings;
+  host.step_barrier_.arrive_and_wait();
+}
+
 const Blobs& Runtime::Worker::allgather(std::span<const std::uint64_t> blob) {
   blobs[parity].assign(blob.begin(), blob.end());
-  fence();
+  barrier();
   views.clear();
   for (const auto& other : host.workers_) views.emplace_back(other->blobs[parity]);
   parity ^= 1;
   return views;
 }
 
+template <typename F>
+void Runtime::Worker::drain_inbox(F&& f) {
+  const std::uint64_t n_drained = inbox.drain(crossings, f);
+#if CLB_TELEMETRY_ENABLED
+  if (telemetry) {
+    ++telem.drains;
+    telem.deq += n_drained;
+    telem.drain_batch_hist.add(n_drained);
+    CLB_TRACE_EVENT(cfg.trace, obs::EventKind::kMailboxDrain, cur_step, 0, 0,
+                    n_drained);
+  }
+#else
+  (void)n_drained;
+#endif
+}
+
 void Runtime::Worker::drain(std::vector<Message*>& out) {
   out.clear();
-  // Batched drain: one detach of the whole pending chain (drain_all) instead
-  // of a per-message stub-cycling pop — FIFO order is identical.
-  const std::uint64_t n_drained = inbox.drain_all([&](Message* m) {
+  drain_inbox([&](Message* m) {
     if (m->kind == MsgKind::kTransfer) {
       // Order-insensitive: at most one transfer reaches a given light per
       // phase (the assigned flag), so applying on drain keeps determinism.
@@ -380,34 +419,11 @@ void Runtime::Worker::drain(std::vector<Message*>& out) {
     }
     out.push_back(m);
   });
-#if CLB_TELEMETRY_ENABLED
-  if (telemetry) {
-    ++telem.drains;
-    telem.deq += n_drained;
-    telem.drain_batch_hist.add(n_drained);
-    CLB_TRACE_EVENT(cfg.trace, obs::EventKind::kMailboxDrain, cur_step, 0, 0,
-                    n_drained);
-  }
-#else
-  (void)n_drained;
-#endif
 }
 
 void Runtime::Worker::drain_collect(std::vector<Message*>& out) {
   out.clear();
-  const std::uint64_t n_drained =
-      inbox.drain_all([&](Message* m) { out.push_back(m); });
-#if CLB_TELEMETRY_ENABLED
-  if (telemetry) {
-    ++telem.drains;
-    telem.deq += n_drained;
-    telem.drain_batch_hist.add(n_drained);
-    CLB_TRACE_EVENT(cfg.trace, obs::EventKind::kMailboxDrain, cur_step, 0, 0,
-                    n_drained);
-  }
-#else
-  (void)n_drained;
-#endif
+  drain_inbox([&](Message* m) { out.push_back(m); });
 }
 
 // ---- the runtime's own policies around the core's step ----
@@ -440,9 +456,9 @@ void Runtime::Worker::after_step(std::uint64_t step, std::uint64_t load) {
   }
   snap = telem;
   snap_load = load;
-  host.step_barrier_.arrive_and_wait();
+  barrier_untimed();
   if (index == 0) host.append_snapshots(step);
-  host.step_barrier_.arrive_and_wait();
+  barrier_untimed();
 }
 
 void Runtime::process_crashes(Worker& w, std::uint64_t step) {
@@ -450,7 +466,7 @@ void Runtime::process_crashes(Worker& w, std::uint64_t step) {
   // Without the entry barrier a fast worker could already be generating
   // into this step's queues while the leader moves them; the exit barrier
   // publishes the moves before anyone reads the re-homed queues.
-  w.fence();
+  w.barrier();
   if (w.index == 0) {
     for (const std::uint32_t c : liveness_.crashes_at(step)) {
       RtProcessor& src = procs_[c];
@@ -472,7 +488,7 @@ void Runtime::process_crashes(Worker& w, std::uint64_t step) {
       ++rehomed_events_;
     }
   }
-  w.fence();
+  w.barrier();
 }
 
 void Runtime::run_scatter(Worker& w, std::uint64_t step) {
@@ -501,7 +517,7 @@ void Runtime::run_scatter(Worker& w, std::uint64_t step) {
   }
   w.msg.control += scattered;     // one routing message per task (as in sim)
   w.msg.tasks_moved += scattered;
-  w.fence();
+  w.barrier();
   w.drain(w.batch);
   if (cfg_.deterministic) {
     std::sort(w.batch.begin(), w.batch.end(), key_less);
@@ -524,7 +540,7 @@ void Runtime::run_zoo(Worker& w, std::uint64_t step) {
     board_[p] = static_cast<std::uint32_t>(w.proc(p).queue.size());
     alive_board_[p] = liveness_.alive(p, step) ? 1 : 0;
   }
-  w.fence();
+  w.barrier();
   if (cfg_.policy == RtPolicy::kStaleSq &&
       step % cfg_.stale.staleness == 0) {
     // Broadcast step: refresh own shard of the stale board; the leader
@@ -534,7 +550,7 @@ void Runtime::run_zoo(Worker& w, std::uint64_t step) {
               board_.begin() + static_cast<std::ptrdiff_t>(w.end),
               stale_board_.begin() + static_cast<std::ptrdiff_t>(w.begin));
     if (w.index == 0) w.msg.control += cfg_.n;
-    w.fence();
+    w.barrier();
   }
 
   // Replicated decisions: every worker evaluates the same pure rule on the
@@ -574,7 +590,7 @@ void Runtime::run_zoo(Worker& w, std::uint64_t step) {
     w.send_transfer(step, d.from, d.to, w.transfer_seen + i + 1, d.count);
   }
   w.transfer_seen += ds.size();
-  w.fence();
+  w.barrier();
 
   // Arrivals: collect, order by sender, apply. Several senders may target
   // one receiver, so arrival order is not canonical — unlike the threshold
@@ -601,7 +617,7 @@ void Runtime::run_steal(Worker& w, std::uint64_t step) {
     steal_board_[p] = static_cast<std::uint32_t>(w.proc(p).queue.size());
     steal_alive_board_[p] = liveness_.alive(p, step) ? 1 : 0;
   }
-  w.fence();
+  w.barrier();
 
   // Replicated decisions over sealed boards — the run_zoo discipline. The
   // list, and therefore the canonical transfer numbering derived from its
@@ -638,15 +654,14 @@ void Runtime::run_steal(Worker& w, std::uint64_t step) {
 #endif
   }
   w.transfer_seen += ds.size();
-  w.fence();
+  w.barrier();
 
   // Arrivals in ascending-victim order, exactly like the zoo policies (a
   // thief receives at most one batch, but sorting keeps the application
-  // order canonical regardless). The fence keeps the balancing policy's
-  // first sends (all-in-air scatters at once) out of a slower worker's
-  // still-running drain; see R2 in rt/shard_core.cpp.
+  // order canonical regardless). The balancing policy's first sends (all-in-
+  // air scatters at once) may already reach a slower worker's mailbox: they
+  // are stamped past this drain's crossing and wait for the next.
   w.drain_collect(w.batch);
-  w.fence();
   std::sort(w.batch.begin(), w.batch.end(),
             [](const Message* x, const Message* y) { return x->a < y->a; });
   for (Message* m : w.batch) {
@@ -965,45 +980,34 @@ void Runtime::lat_discard_undelivered(Worker& w) {
     delete m;
   });
   w.links.reset();
-  while (Message* m = w.inbox.pop()) {
-    CLB_DCHECK(m->kind != MsgKind::kTransfer,
-               "payloads cannot be in flight at the phase decision");
-    ++w.fab_delivered;
+  const std::uint64_t discarded =
+      w.inbox.drain(w.crossings, [](Message* m) {
+        CLB_DCHECK(m->kind != MsgKind::kTransfer,
+                   "payloads cannot be in flight at the phase decision");
+        delete m;
+      });
+  w.fab_delivered += discarded;
 #if CLB_TELEMETRY_ENABLED
-    // Book the pop so enqueue == dequeue stays an invariant (messages filed
-    // into rings were already counted at their lat_drain_and_file pop).
-    if (w.telemetry) ++w.telem.deq;
+  // Book the discards so enqueue == dequeue stays an invariant (messages
+  // filed into rings were already counted at their lat_drain_and_file
+  // drain).
+  if (w.telemetry) w.telem.deq += discarded;
 #endif
-    delete m;
-  }
 }
 
 void Runtime::lat_drain_and_file(Worker& w, std::uint64_t step) {
-  std::uint64_t batch = 0;
-  while (Message* m = w.inbox.pop()) {
-    ++batch;
+  w.drain_inbox([&](Message* m) {
     if (m->kind == MsgKind::kTransfer) {
       // Due-now payload: the partner's owner appends the tasks, closing the
       // move the source's owner started in S5 this step.
       CLB_DCHECK(m->due == step, "stale transfer payload");
       w.apply_transfer(*m);
       delete m;
-      continue;
+      return;
     }
     // Fabric::file DCHECKs due > now — the deterministic-replay guarantee.
     w.fabric.file(step, m->due, m);
-  }
-#if CLB_TELEMETRY_ENABLED
-  if (w.telemetry) {
-    ++w.telem.drains;
-    w.telem.deq += batch;
-    w.telem.drain_batch_hist.add(batch);
-    CLB_TRACE_EVENT(cfg_.trace, obs::EventKind::kMailboxDrain, step, 0, 0,
-                    batch);
-  }
-#else
-  (void)batch;
-#endif
+  });
 }
 
 void Runtime::run_lat_protocol(Worker& w, std::uint64_t step) {
@@ -1084,7 +1088,7 @@ void Runtime::run_lat_protocol(Worker& w, std::uint64_t step) {
       if (forced) {
         // Fence the discards from the payload sends of S5: a replicated
         // branch, so either every worker arrives here or none does.
-        w.fence();
+        w.barrier();
       }
     }
   }

@@ -4,10 +4,11 @@
 // shards, each owned by one worker thread running one rt::ShardCore (see
 // rt/shard_core.hpp for the step schedule and the determinism contract).
 // Workers implement the core's exchange seam in one address space: send()
-// pushes to the owner's lock-free MPSC mailbox, allgather() is a
+// stamps the message with the sender's barrier-crossing count and pushes it
+// to the owner's lock-free MPSC mailbox, drain() takes exactly the messages
+// stamped before the drainer's own count, and allgather() is a
 // util::PhaseBarrier crossing over per-worker blob buffers double-buffered
-// by parity, and fence() is a plain crossing. There is no global lock
-// anywhere on the hot path.
+// by parity. There is no global lock anywhere on the hot path.
 //
 // On top of the core's instant threshold schedule the runtime adds the
 // policies only it carries: the latency fabric (the dist:: protocol over
@@ -34,7 +35,8 @@ namespace clb::rt {
 
 class Runtime {
  public:
-  /// Spawns cfg.workers threads, each parked on the command barrier. The
+  /// Spawns cfg.workers - 1 threads, each parked on the command barrier;
+  /// the thread that calls run() executes shard 0 itself. The
   /// model must be parallel-safe (!serial_generation()); it is shared by all
   /// workers and must therefore be stateless across step_action calls, which
   /// every counter-RNG model in src/models is.
@@ -44,8 +46,9 @@ class Runtime {
   Runtime(const Runtime&) = delete;
   Runtime& operator=(const Runtime&) = delete;
 
-  /// Executes `steps` runtime steps on the worker threads; blocks until
-  /// done. Callable repeatedly; state carries over (step numbering included).
+  /// Executes `steps` runtime steps, shard 0 on the calling thread and the
+  /// others on the worker threads; blocks until done. Callable repeatedly;
+  /// state carries over (step numbering included).
   void run(std::uint64_t steps);
 
   // ---- Inspection (main thread, between run() calls) ----
@@ -177,6 +180,8 @@ class Runtime {
   struct LatencyShared;
 
   void worker_main(Worker& w);
+  /// The commanded steps on one worker's shard.
+  void run_steps(Worker& w);
   /// all-in-air: every shard task thrown at a uniformly random processor.
   void run_scatter(Worker& w, std::uint64_t step);
   /// The workload-zoo policies (kStaleSq / kLocalSearch): publish the fresh
@@ -219,7 +224,7 @@ class Runtime {
 
   // Superstep coordination.
   util::PhaseBarrier step_barrier_;  // workers only
-  util::PhaseBarrier cmd_barrier_;   // workers + main
+  util::PhaseBarrier cmd_barrier_;   // workers (the run() caller is 0)
   std::uint64_t cmd_steps_ = 0;
   bool cmd_stop_ = false;
   std::uint64_t step_base_ = 0;

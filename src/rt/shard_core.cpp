@@ -282,12 +282,11 @@ void ShardCore::run_phase(std::uint64_t step) {
   // Classification blob: [heavy count, light count, heavy procs...]. Every
   // shard takes the heavy prefix for its level-1 slots; shard 0 also opens
   // the phase summary from the heavy lists.
-  std::vector<std::uint64_t> blob;
-  blob.reserve(2 + heavy_local.size());
-  blob.push_back(heavy_local.size());
-  blob.push_back(light_count);
-  blob.insert(blob.end(), heavy_local.begin(), heavy_local.end());
-  const Blobs& all = allgather(blob);
+  blob_.clear();
+  blob_.push_back(heavy_local.size());
+  blob_.push_back(light_count);
+  blob_.insert(blob_.end(), heavy_local.begin(), heavy_local.end());
+  const Blobs& all = allgather(blob_);
 
   std::uint64_t heavy_base = 0, total_heavy = 0;
   for (unsigned i = 0; i < cfg.workers; ++i) {
@@ -381,15 +380,9 @@ std::uint64_t ShardCore::run_level(std::uint64_t step,
 
     // R2: each queried processor counts arrivals, then accepts all or none
     // (count-based, so no sort is needed for determinism), replying per
-    // accepted query.
-    //
-    // Every drain whose segment also *sends* is fenced before the first
-    // send: without it a fast shard's replies could land in a slow shard's
-    // still-draining inbox and contaminate the batch with next-exchange
-    // messages (the allgather only orders the *previous* segment's sends).
-    // Same pattern at L2, the transfer drain and L5 below.
+    // accepted query. The replies may go out while a slower shard is still
+    // draining: drain() is exact (see the seam), so they wait for R3.
     drain(batch);
-    fence();
     for (const Message* m : batch) {
       CLB_DCHECK(m->kind == MsgKind::kQuery, "unexpected message in R2");
       RtProcessor& t = proc(m->a);
@@ -480,7 +473,6 @@ std::uint64_t ShardCore::run_level(std::uint64_t step,
   // (request, child) order reserves a still-light, still-unassigned
   // processor — exactly the simulator's iteration order.
   drain(batch);
-  fence();  // id/status sends below; see R2
   if (cfg.deterministic) std::sort(batch.begin(), batch.end(), key_less);
   for (Message* m : batch) {
     CLB_DCHECK(m->kind == MsgKind::kChild, "unexpected message in L2");
@@ -556,15 +548,14 @@ std::uint64_t ShardCore::run_level(std::uint64_t step,
   // Carries both the transfer prefix and the scan lists, so every shard
   // replays the same merge and the global child numbering needs no
   // leader-owned memory.
-  std::vector<std::uint64_t> blob;
-  blob.reserve(2 + 2 * scan.size());
-  blob.push_back(staged.size());
-  blob.push_back(scan.size());
+  blob_.clear();
+  blob_.push_back(staged.size());
+  blob_.push_back(scan.size());
   for (const ScanEntry& e : scan) {
-    blob.push_back(e.g);
-    blob.push_back(e.count);
+    blob_.push_back(e.g);
+    blob_.push_back(e.count);
   }
-  const Blobs& all = allgather(blob);
+  const Blobs& all = allgather(blob_);
 
   std::uint64_t staged_base = transfer_seen;
   std::uint64_t staged_total = 0;
@@ -576,7 +567,8 @@ std::uint64_t ShardCore::run_level(std::uint64_t step,
   // Replicated scan: dense global numbering for next-level nodes, merging
   // the per-shard (g, count) lists by parent slot g — identical for every
   // shard count.
-  std::vector<std::size_t> pos(cfg.workers, 0);
+  std::vector<std::size_t>& pos = scan_pos_;
+  pos.assign(cfg.workers, 0);
   std::uint64_t next_node_count = 0;
   for (;;) {
     unsigned best = cfg.workers;
@@ -601,7 +593,6 @@ std::uint64_t ShardCore::run_level(std::uint64_t step,
   allgather({});
   drain(batch);
   CLB_CHECK(batch.empty(), "only transfers may be in flight after L3");
-  fence();  // forward sends below; see R2
 
   // ---- forward children into next-level nodes ----
   for (const ScanEntry& e : scan) {
@@ -617,9 +608,6 @@ std::uint64_t ShardCore::run_level(std::uint64_t step,
   allgather({});
 
   drain(batch);
-  // The next level's queries go out with no intervening drain, so this
-  // drain too must be fenced off from them; see R2.
-  fence();
   next_nodes.clear();
   for (Message* m : batch) {
     CLB_DCHECK(m->kind == MsgKind::kForward, "unexpected message in L5");

@@ -16,20 +16,24 @@
 // the shard loads (the engine's start-of-step system_load snapshot) and the
 // phase tallies.
 //
-// The core talks to its peers only through a four-operation seam, which each
-// executor implements:
+// The core talks to its peers only through a three-operation seam, which
+// each executor implements:
 //
 //   send(dest, m)    route a message to the shard owning processor `dest`;
-//   drain(out)       everything sent here before the last allgather():
-//                    transfers are applied on arrival, the rest returned;
+//   drain(out)       exactly the messages sent here before this shard's
+//                    last allgather(): transfers are applied on arrival,
+//                    the rest returned. Messages a faster peer sent after
+//                    crossing that allgather wait for the next drain, so a
+//                    shard may send right after it drains;
 //   allgather(blob)  a barrier that also exchanges each shard's small u64
-//                    blob (heavy lists, scan lists and counts ride these);
-//   fence()          separates a drain from sends that follow it before the
-//                    next allgather() (a no-op where a drain is exact by
-//                    construction).
+//                    blob (heavy lists, scan lists and counts ride these).
 //
-// rt::Runtime implements it with mailboxes and util::PhaseBarrier; the
-// transport with per-peer kBatch frames and the coordinator barrier.
+// rt::Runtime implements it with mailboxes and util::PhaseBarrier, its
+// drains exact by the senders' crossing stamps; the transport with per-peer
+// kBatch frames and the coordinator barrier, its drains exact by counting
+// one batch per peer per barrier. Both cross the same schedule: per step
+// one closing reduction, per phase one classification reduction, per
+// collision round 3 allgathers, per tree level 5.
 //
 // Determinism contract (RtConfig::deterministic): drained batches whose
 // processing order matters (child assignment, id matching) are sorted by the
@@ -102,7 +106,6 @@ class ShardCore {
   /// caller deletes them).
   virtual void drain(std::vector<Message*>& out) = 0;
   virtual const Blobs& allgather(std::span<const std::uint64_t> blob) = 0;
-  virtual void fence() = 0;
 
   /// One runtime step (see file header).
   void step_once(std::uint64_t step);
@@ -128,6 +131,10 @@ class ShardCore {
     return map_.owner_of(p);
   }
   [[nodiscard]] std::uint32_t now_us() const;
+  /// The zero of the wall-clock sojourn stamps.
+  [[nodiscard]] std::chrono::steady_clock::time_point epoch() const {
+    return epoch_;
+  }
 
   /// A query-tree node hosted at owner(proc). `slot` is the node's global
   /// index at its level (dense, ascending across shards), which keys the
@@ -238,6 +245,10 @@ class ShardCore {
 
   ShardMap map_;
   std::chrono::steady_clock::time_point epoch_;
+  // Reused across phases and levels (hot loops do not allocate): the
+  // classification / staged-count blob and the scan merge's cursors.
+  std::vector<std::uint64_t> blob_;
+  std::vector<std::size_t> scan_pos_;
 };
 
 }  // namespace clb::rt

@@ -74,6 +74,8 @@ void ProcessRuntime::spawn() {
     ctl_child[i] = std::move(child);
   }
 
+  // One sojourn epoch for every shard, inherited across the fork.
+  epoch_ = std::chrono::steady_clock::now();
   pids_.resize(w, -1);
   for (unsigned i = 0; i < w; ++i) {
     const pid_t pid = ::fork();
@@ -87,7 +89,8 @@ void ProcessRuntime::spawn() {
         ctl_child[k].close_fd();
         for (unsigned j = 0; j < w; ++j) peer_ends[k][j].close_fd();
       }
-      shard_worker_main(std::move(ctl_child[i]), std::move(peer_ends[i]));
+      shard_worker_main(std::move(ctl_child[i]), std::move(peer_ends[i]),
+                        epoch_);
       ::_exit(0);
     }
     pids_[i] = pid;
@@ -200,6 +203,8 @@ void ProcessRuntime::collect() {
     sojourn_steps_.merge(st.sojourn_steps);
     sojourn_us_.merge(st.sojourn_us);
     wire_stats_.merge(st.wire);
+    shard_epochs_.push_back(std::chrono::steady_clock::time_point(
+        std::chrono::steady_clock::duration(st.epoch_ticks)));
     if (i == 0) {
       running_max_ = st.running_max;
       phases_ = std::move(st.phases);
@@ -293,6 +298,12 @@ std::uint64_t ProcessRuntime::deposited() {
 const obs::WireStats& ProcessRuntime::wire_stats() {
   collect();
   return wire_stats_;
+}
+
+const std::vector<std::chrono::steady_clock::time_point>&
+ProcessRuntime::shard_epochs() {
+  collect();
+  return shard_epochs_;
 }
 
 }  // namespace clb::transport

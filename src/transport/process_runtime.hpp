@@ -22,6 +22,7 @@
 
 #include <sys/types.h>
 
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -99,6 +100,14 @@ class ProcessRuntime {
   [[nodiscard]] const obs::WireStats& wire_stats();
   /// Wall-clock seconds spent inside run() so far.
   [[nodiscard]] double wall_seconds() const { return wall_seconds_; }
+  /// The zero of every shard's wall-clock sojourn stamps, taken before the
+  /// fork.
+  [[nodiscard]] std::chrono::steady_clock::time_point epoch() const {
+    return epoch_;
+  }
+  /// Each shard's sojourn epoch as it reported it, in shard order.
+  [[nodiscard]] const std::vector<std::chrono::steady_clock::time_point>&
+  shard_epochs();
 
   /// Every run()/deposit() issued, in order — the shadow replay script.
   [[nodiscard]] const std::vector<Command>& command_log() const {
@@ -113,6 +122,7 @@ class ProcessRuntime {
   std::vector<Endpoint> ctl_;   // coordinator end of each child's control link
   std::vector<pid_t> pids_;
   rt::ShardMap map_;
+  std::chrono::steady_clock::time_point epoch_;
   std::uint64_t step_base_ = 0;
   double wall_seconds_ = 0;
   std::vector<Command> log_;
@@ -129,6 +139,7 @@ class ProcessRuntime {
   std::uint64_t running_max_ = 0;
   std::vector<rt::RtPhaseSummary> phases_;
   obs::WireStats wire_stats_;
+  std::vector<std::chrono::steady_clock::time_point> shard_epochs_;
 };
 
 }  // namespace clb::transport

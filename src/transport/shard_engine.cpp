@@ -124,6 +124,7 @@ void ShardState::serialize(Writer& w) const {
   }
   serialize_hist(w, sojourn_steps);
   serialize_hist(w, sojourn_us);
+  w.u64(static_cast<std::uint64_t>(epoch_ticks));
   w.u64(running_max);
   w.u32(static_cast<std::uint32_t>(phases.size()));
   for (const rt::RtPhaseSummary& ps : phases) {
@@ -186,6 +187,7 @@ ShardState ShardState::deserialize(Reader& r) {
   }
   s.sojourn_steps = deserialize_hist(r);
   s.sojourn_us = deserialize_hist(r);
+  s.epoch_ticks = static_cast<std::int64_t>(r.u64());
   s.running_max = r.u64();
   const std::uint32_t nph = r.u32();
   s.phases.resize(nph);
@@ -225,7 +227,8 @@ namespace {
 class ShardEngine final : public rt::ShardCore {
  public:
   ShardEngine(const ShardRunConfig& run, sim::LoadModel& load_model,
-              Endpoint control, std::vector<Endpoint> peers);
+              Endpoint control, std::vector<Endpoint> peers,
+              std::chrono::steady_clock::time_point epoch);
 
   /// Sends kConfigAck, then blocks serving coordinator commands until
   /// kShutdown arrives.
@@ -236,7 +239,6 @@ class ShardEngine final : public rt::ShardCore {
   /// Flushes the peer batches (threshold policy), sends kBarrier with
   /// `blob`, blocks on kRelease and returns all shards' blobs.
   const rt::Blobs& allgather(std::span<const std::uint64_t> blob) override;
-  void fence() override {}
 
  private:
   struct PeerChannel {
@@ -264,9 +266,9 @@ class ShardEngine final : public rt::ShardCore {
 };
 
 ShardEngine::ShardEngine(const ShardRunConfig& run, sim::LoadModel& load_model,
-                         Endpoint control, std::vector<Endpoint> peers)
-    : rt::ShardCore(run.rt_config(), load_model, run.index,
-                    std::chrono::steady_clock::now()),
+                         Endpoint control, std::vector<Endpoint> peers,
+                         std::chrono::steady_clock::time_point epoch)
+    : rt::ShardCore(run.rt_config(), load_model, run.index, epoch),
       control_(std::move(control)),
       flush_data_(run.policy == rt::RtPolicy::kThreshold),
       blobs_(run.workers),
@@ -339,6 +341,7 @@ void ShardEngine::collect_state() {
   st.ledger = ledger;
   st.sojourn_steps = sojourn_steps;
   st.sojourn_us = sojourn_us;
+  st.epoch_ticks = epoch().time_since_epoch().count();
   st.running_max = running_max;
   st.phases = phases;
   st.wire = wire_;
@@ -449,7 +452,8 @@ void ShardEngine::drain(std::vector<rt::Message*>& out) {
 
 }  // namespace
 
-void shard_worker_main(Endpoint control, std::vector<Endpoint> peers) {
+void shard_worker_main(Endpoint control, std::vector<Endpoint> peers,
+                       std::chrono::steady_clock::time_point epoch) {
   Frame f = control.recv_frame();
   CLB_CHECK(f.type == FrameType::kConfig,
             "transport: worker expected kConfig as the first control frame");
@@ -457,7 +461,8 @@ void shard_worker_main(Endpoint control, std::vector<Endpoint> peers) {
   const ShardRunConfig cfg = ShardRunConfig::deserialize(r);
   CLB_CHECK(r.exhausted(), "transport: trailing bytes after kConfig payload");
   const std::unique_ptr<sim::LoadModel> model = cfg.model.make(cfg.n);
-  ShardEngine engine(cfg, *model, std::move(control), std::move(peers));
+  ShardEngine engine(cfg, *model, std::move(control), std::move(peers),
+                     epoch);
   engine.serve();
 }
 

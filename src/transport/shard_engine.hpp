@@ -10,9 +10,11 @@
 //     PhaseBarrier provides in one address space);
 //   * allgather() is an explicit control-plane exchange with the
 //     coordinator: kBarrier carries this shard's blob, kRelease returns all
-//     shards' blobs;
-//   * fence() is a no-op: batch-per-barrier accounting already makes a
-//     drain exact.
+//     shards' blobs.
+//
+// Every shard stamps wall-clock sojourn against the coordinator's epoch,
+// taken once before the fork: CLOCK_MONOTONIC is system-wide, so a task
+// born in one shard process and consumed in another reads one clock.
 //
 // What remains here is what is specific to the transport: the sockets, the
 // control loop serving coordinator commands, and state shipping. The run is
@@ -21,6 +23,7 @@
 // corrupted frame (see transport/shadow.hpp).
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -82,6 +85,9 @@ struct ShardState {
   std::vector<rt::LedgerEntry> ledger;
   stats::IntHistogram sojourn_steps;
   stats::IntHistogram sojourn_us;
+  /// The shard core's sojourn epoch (steady_clock ticks since the clock's
+  /// zero); every shard's equals the coordinator's.
+  std::int64_t epoch_ticks = 0;
   std::uint64_t running_max = 0;               ///< worker 0 only
   std::vector<rt::RtPhaseSummary> phases;      ///< worker 0 only
   obs::WireStats wire;
@@ -93,8 +99,10 @@ struct ShardState {
 /// Entry point for a forked shard worker: performs the kConfig handshake on
 /// `control`, builds the engine, acks, and serves coordinator commands
 /// (kRun / kDeposit / kCollect) until kShutdown. `peers[i]` is the data
-/// link to worker i (invalid at this worker's own index). Never returns
+/// link to worker i (invalid at this worker's own index); `epoch` is the
+/// coordinator's sojourn epoch, inherited across the fork. Never returns
 /// normally — the caller _exit()s after it does.
-void shard_worker_main(Endpoint control, std::vector<Endpoint> peers);
+void shard_worker_main(Endpoint control, std::vector<Endpoint> peers,
+                       std::chrono::steady_clock::time_point epoch);
 
 }  // namespace clb::transport

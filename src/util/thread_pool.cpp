@@ -3,6 +3,10 @@
 #include <algorithm>
 #include <chrono>
 
+#ifdef __linux__
+#include <sched.h>
+#endif
+
 #include "util/check.hpp"
 
 namespace clb::util {
@@ -12,6 +16,32 @@ namespace {
 // Worker ID of the current thread. Pool threads set this once at spawn;
 // everything else (main thread, detached helpers) keeps the default 0.
 thread_local unsigned t_worker_index = 0;
+
+/// CPUs this process may run on: its affinity mask (what `taskset` sets),
+/// capped by hardware_concurrency. Read once — hardware_concurrency() reads
+/// sysfs on every call, a few microseconds per barrier construction.
+unsigned usable_cpus() {
+  static const unsigned cpus = [] {
+    unsigned n = std::max(1u, std::thread::hardware_concurrency());
+#ifdef __linux__
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    if (::sched_getaffinity(0, sizeof(set), &set) == 0) {
+      n = std::min(n, static_cast<unsigned>(std::max(1, CPU_COUNT(&set))));
+    }
+#endif
+    return n;
+  }();
+  return cpus;
+}
+
+inline void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
 
 }  // namespace
 
@@ -26,20 +56,37 @@ std::pair<std::uint64_t, std::uint64_t> block_range(std::uint64_t count,
   return {begin, begin + size};
 }
 
-PhaseBarrier::PhaseBarrier(unsigned parties) : parties_(parties) {
+PhaseBarrier::PhaseBarrier(unsigned parties)
+    : parties_(parties), spin_(parties <= usable_cpus()) {
   CLB_CHECK(parties >= 1, "PhaseBarrier needs at least one party");
 }
 
 void PhaseBarrier::arrive_and_wait() {
-  std::unique_lock lock(mu_);
-  const std::uint64_t my_generation = generation_;
-  if (++waiting_ == parties_) {
-    waiting_ = 0;
-    ++generation_;
-    cv_.notify_all();
+  // Our own last crossing saw this value, and it cannot advance until we
+  // arrive, so a relaxed load reads the current cycle's generation.
+  const std::uint32_t gen = generation_.load(std::memory_order_relaxed);
+  if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 == parties_) {
+    // The next cycle's arrivals start only after they see the new
+    // generation, so the reset is ordered before them.
+    arrived_.store(0, std::memory_order_relaxed);
+    // seq_cst store, then seq_cst load of parked_: paired with the waiter's
+    // seq_cst increment-then-load below, at least one side sees the other,
+    // so a waiter that parks on the old generation is always notified.
+    generation_.store(gen + 1, std::memory_order_seq_cst);
+    if (parked_.load(std::memory_order_seq_cst) != 0) generation_.notify_all();
     return;
   }
-  cv_.wait(lock, [&] { return generation_ != my_generation; });
+  if (spin_) {
+    for (unsigned i = 0; i < kSpinBudget; ++i) {
+      if (generation_.load(std::memory_order_acquire) != gen) return;
+      cpu_relax();
+    }
+  }
+  parked_.fetch_add(1, std::memory_order_seq_cst);
+  while (generation_.load(std::memory_order_seq_cst) == gen) {
+    generation_.wait(gen, std::memory_order_acquire);
+  }
+  parked_.fetch_sub(1, std::memory_order_relaxed);
 }
 
 std::uint64_t PhaseBarrier::arrive_and_wait_timed() {
@@ -49,11 +96,6 @@ std::uint64_t PhaseBarrier::arrive_and_wait_timed() {
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - t0)
           .count());
-}
-
-std::uint64_t PhaseBarrier::generation() const {
-  std::lock_guard lock(mu_);
-  return generation_;
 }
 
 ThreadPool::ThreadPool(unsigned workers) {

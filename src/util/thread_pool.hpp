@@ -9,6 +9,7 @@
 // fallback used when hardware_concurrency() == 1.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -29,20 +30,32 @@ namespace clb::util {
     std::uint64_t count, unsigned parts, unsigned index);
 
 /// Reusable cyclic barrier with std::barrier's core API (arrive_and_wait).
-/// All `parties` threads block until the last one arrives, then all proceed;
-/// the barrier resets itself for the next cycle (sense-reversing via a
-/// generation counter). Unlike std::barrier it is copy-free to embed, has no
-/// completion function, and — because it synchronises through one mutex —
-/// every write made before arrive_and_wait() happens-before every read made
-/// after it in any other party. The rt runtime leans on that: plain (non-
-/// atomic) per-worker slots published before a barrier are safe to read
-/// after it.
+/// All `parties` threads wait until the last one arrives, then all proceed;
+/// the barrier resets itself for the next cycle. Unlike std::barrier it is
+/// copy-free to embed and has no completion function.
 ///
-/// Deliberately blocking (condvar), not spinning: oversubscribed hosts
-/// (CI runners, the 1-core container this repo is often built in) are the
-/// common case, and a spinning barrier inverts priorities there.
+/// Arrival is one atomic increment; the last arriver resets the count and
+/// bumps a generation word, which is what the others wait on. A waiter
+/// spins on the generation for a fixed budget (kSpinBudget `pause`s, tens
+/// of microseconds — longer than a lockstep superstep's usual skew), then
+/// parks on std::atomic::wait. The releaser calls notify_all only when
+/// someone is parked, so a crossing where everyone arrives within the
+/// budget costs no system call at all. When the parties outnumber the CPUs
+/// this process may run on (its affinity mask, capped by
+/// hardware_concurrency), a waiter never spins: the thread it waits for may
+/// need its CPU, so it parks at once — the oversubscribed case (CI runners,
+/// `taskset -c 0`) behaves like a blocking barrier.
+///
+/// Every write made before arrive_and_wait() happens-before every read made
+/// after it in any other party (acq_rel arrivals, a release of the
+/// generation, acquire loads by the waiters). The rt runtime leans on that:
+/// plain (non-atomic) per-worker slots published before a barrier are safe
+/// to read after it.
 class PhaseBarrier {
  public:
+  /// Spin iterations before a waiter parks.
+  static constexpr unsigned kSpinBudget = 1u << 12;
+
   explicit PhaseBarrier(unsigned parties);
 
   PhaseBarrier(const PhaseBarrier&) = delete;
@@ -52,24 +65,31 @@ class PhaseBarrier {
   void arrive_and_wait();
 
   /// arrive_and_wait, returning the nanoseconds this thread spent inside
-  /// the call (arrive -> release, lock acquisition included). The telemetry
-  /// layer's barrier-stall accounting uses this; it costs two steady_clock
-  /// reads on top of the plain wait, so callers should only pick it when
-  /// they actually record the result.
+  /// the call (arrive -> release). The telemetry layer's barrier-stall
+  /// accounting uses this; it costs two steady_clock reads on top of the
+  /// plain wait, so callers should only pick it when they actually record
+  /// the result.
   std::uint64_t arrive_and_wait_timed();
 
   [[nodiscard]] unsigned parties() const { return parties_; }
 
-  /// Number of completed cycles. Only meaningful when the caller knows the
-  /// barrier is quiescent (e.g. between rt run() commands); used by tests.
-  [[nodiscard]] std::uint64_t generation() const;
+  /// True when waiters spin before parking (parties fit on the CPUs).
+  [[nodiscard]] bool spins() const { return spin_; }
+
+  /// Number of completed cycles (modulo 2^32). Only meaningful when the
+  /// caller knows the barrier is quiescent (e.g. between rt run() commands);
+  /// used by tests.
+  [[nodiscard]] std::uint64_t generation() const {
+    return generation_.load(std::memory_order_acquire);
+  }
 
  private:
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
   const unsigned parties_;
-  unsigned waiting_ = 0;
-  std::uint64_t generation_ = 0;
+  const bool spin_;
+  alignas(64) std::atomic<unsigned> arrived_{0};
+  // 32 bits: the width std::atomic::wait parks on natively (a futex word).
+  alignas(64) std::atomic<std::uint32_t> generation_{0};
+  std::atomic<unsigned> parked_{0};
 };
 
 class ThreadPool {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <thread>
@@ -271,6 +272,38 @@ TEST(TransportMutation, FrameCorruptConvictedByShadowOnly) {
   EXPECT_FALSE(rep.divergence.empty());
 }
 
+// Wall-clock sojourn over the wire: every shard process stamps births and
+// consumptions against the coordinator's one pre-fork epoch. With a
+// per-process epoch, a task moved to a later-started shard could read a
+// negative sojourn, which wraps to ~2^32 us (and a dense histogram of that
+// size kills the shard).
+TEST(TransportSojourn, ShardsStampAgainstTheCoordinatorEpoch) {
+  const std::uint64_t n = 192;
+  ShardRunConfig cfg = make_cfg(n, 1, 4, WhichModel::kSingle);
+  cfg.time_sojourn = true;
+  ProcessRuntime pr(cfg, WireKind::kUds);
+  drive(pr, 48, 1, n);
+  const std::vector<rt::LedgerEntry> ledger = pr.ledger();
+  const rt::ShardMap map(n, cfg.workers);
+  ASSERT_TRUE(std::any_of(ledger.begin(), ledger.end(),
+                          [&](const rt::LedgerEntry& e) {
+                            return map.owner_of(e.from) != map.owner_of(e.to);
+                          }))
+      << "the run must move tasks between shard processes";
+
+  ASSERT_EQ(pr.shard_epochs().size(), cfg.workers);
+  for (unsigned i = 0; i < cfg.workers; ++i) {
+    EXPECT_EQ(pr.shard_epochs()[i].time_since_epoch().count(),
+              pr.epoch().time_since_epoch().count())
+        << "shard " << i;
+  }
+  const stats::IntHistogram us = pr.sojourn_us();
+  const auto since_epoch = std::chrono::duration_cast<std::chrono::microseconds>(
+      std::chrono::steady_clock::now() - pr.epoch());
+  EXPECT_GT(us.total(), 0u);
+  EXPECT_LE(us.max_value(), static_cast<std::uint64_t>(since_epoch.count()));
+}
+
 // Control for the mutation test: the identical scenario with the fault
 // injection off passes — so the conviction above is the corruption, not the
 // scenario.
@@ -285,16 +318,29 @@ TEST(TransportMutation, SameScenarioCleanPasses) {
 }
 
 // The superstep schedule's barrier count is deterministic in lockstep, so
-// it is pinned exactly: a refactor that adds a fence or a reduction (or
+// it is pinned exactly: a refactor that adds a barrier or a reduction (or
 // drops one) fails here. Per worker, a plain step crosses one barrier (the
 // closing load reduction); a phase step adds the classification reduction,
-// and in process 4 crossings per collision round (R1, the R2 fence, R2, the
-// active-count reduction) and 8 per tree level (children, the L2 fence, L2,
-// the staged-count/scan reduction, transfers, the transfer-drain fence,
-// forwards, the L5 fence). Over the wire the fences are no-ops: 3 per round
-// and 5 per level.
-constexpr std::uint64_t kPinnedInProcBarriers = 120;
+// 3 crossings per collision round (R1, R2, the active-count reduction) and
+// 5 per tree level (children, L2, the staged-count/scan reduction,
+// transfers, forwards). Both executors cross this one schedule: rt's drains
+// are exact by the senders' crossing stamps, the wire's by batch counting.
 constexpr std::uint64_t kPinnedWireBarriers = 100;
+// The same run with stealing on (in process only): run_steal adds its two
+// shared-board crossings per step (the load/dry boards, the sends) and no
+// fence after its drain.
+constexpr std::uint64_t kPinnedInProcStealBarriers = 180;
+
+/// steps + Σ over phases (1 + 3·rounds + 5·levels): the shard core's
+/// schedule.
+std::uint64_t core_schedule(std::uint64_t steps,
+                            const std::vector<rt::RtPhaseSummary>& phases) {
+  std::uint64_t crossings = steps;
+  for (const rt::RtPhaseSummary& ps : phases) {
+    crossings += 1 + 3 * ps.collision_rounds + 5 * ps.levels_used;
+  }
+  return crossings;
+}
 
 TEST(BarrierSchedule, PinnedPerStepInProcAndOverUds) {
   if (!obs::kTelemetryCompiled) GTEST_SKIP() << "telemetry compiled out";
@@ -315,15 +361,31 @@ TEST(BarrierSchedule, PinnedPerStepInProcAndOverUds) {
   drive(uds, steps, seed, n);
   const std::uint64_t wire_per_shard = uds.wire_stats().barriers / sc.workers;
 
-  std::uint64_t inproc_formula = steps, wire_formula = steps;
-  for (const rt::RtPhaseSummary& ps : inproc.phases()) {
-    inproc_formula += 1 + 4 * ps.collision_rounds + 8 * ps.levels_used;
-    wire_formula += 1 + 3 * ps.collision_rounds + 5 * ps.levels_used;
-  }
-  EXPECT_EQ(inproc_per_worker, inproc_formula);
-  EXPECT_EQ(wire_per_shard, wire_formula);
-  EXPECT_EQ(inproc_per_worker, kPinnedInProcBarriers);
+  EXPECT_EQ(inproc_per_worker, core_schedule(steps, inproc.phases()));
+  EXPECT_EQ(wire_per_shard, core_schedule(steps, uds.phases()));
+  EXPECT_EQ(inproc_per_worker, kPinnedWireBarriers);
   EXPECT_EQ(wire_per_shard, kPinnedWireBarriers);
+}
+
+TEST(BarrierSchedule, PinnedPerStepInProcWithStealing) {
+  if (!obs::kTelemetryCompiled) GTEST_SKIP() << "telemetry compiled out";
+  const std::uint64_t n = 192;
+  const std::uint64_t steps = 48;
+  const std::uint64_t seed = 1;
+  const ShardRunConfig sc = make_cfg(n, seed, 2, WhichModel::kSingle);
+
+  rt::RtConfig rc = sc.rt_config();
+  rc.telemetry = true;
+  rc.steal.enabled = true;
+  const auto model = sc.model.make(n);
+  rt::Runtime inproc(rc, model.get());
+  drive(inproc, steps, seed, n);
+  ASSERT_GT(inproc.steal_events(), 0u) << "the pin must cover real steals";
+  const std::uint64_t per_worker =
+      inproc.telemetry_total().barrier_waits / rc.workers;
+
+  EXPECT_EQ(per_worker, 2 * steps + core_schedule(steps, inproc.phases()));
+  EXPECT_EQ(per_worker, kPinnedInProcStealBarriers);
 }
 
 }  // namespace

@@ -296,6 +296,7 @@ TEST(PayloadCodec, ShardStateRoundTrip) {
   s.ledger.push_back(rt::LedgerEntry{8, 10, 11, 4});
   s.sojourn_steps.add(3, 2);
   s.sojourn_steps.add(900, 1);  // sparse far tail
+  s.epoch_ticks = 123456789012;
   s.running_max = 77;
   rt::RtPhaseSummary ps;
   ps.phase_index = 1;
@@ -325,6 +326,7 @@ TEST(PayloadCodec, ShardStateRoundTrip) {
   EXPECT_EQ(back.ledger[0].count, 4u);
   EXPECT_EQ(back.sojourn_steps.total(), 3u);
   EXPECT_EQ(back.sojourn_steps.count_at(900), 1u);
+  EXPECT_EQ(back.epoch_ticks, 123456789012);
   EXPECT_EQ(back.running_max, 77u);
   ASSERT_EQ(back.phases.size(), 1u);
   EXPECT_EQ(back.phases[0].matched, 2u);

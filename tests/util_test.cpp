@@ -1,7 +1,9 @@
 // Unit tests for clb::util — math helpers, tables, CLI, thread pool.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <map>
 #include <numeric>
 #include <set>
@@ -186,6 +188,84 @@ TEST(PhaseBarrier, SeparatesWritePhasesAcrossThreads) {
   for (auto& th : threads) th.join();
   EXPECT_EQ(mismatches.load(), 0);
   EXPECT_EQ(barrier.generation(), 2u * kCycles);
+}
+
+TEST(PhaseBarrier, ParkPathLosesNoWakeup) {
+  // Arrivals land on both sides of the spin budget: most within it, some
+  // after a few microseconds of busy delay, some after sleeping a few
+  // milliseconds — long past the budget, so the others have parked and
+  // must be woken. A lost wakeup hangs the test; a torn cycle shows as a
+  // mismatched sum or a wrong generation count.
+  constexpr unsigned kParties = 4;
+  constexpr int kCycles = 1000;
+  PhaseBarrier barrier(kParties);
+  std::uint64_t slots[kParties] = {};
+  std::vector<std::thread> threads;
+  std::atomic<int> mismatches{0};
+  for (unsigned t = 0; t < kParties; ++t) {
+    threads.emplace_back([&, t] {
+      std::uint64_t rng = 0x9E3779B97F4A7C15ULL * (t + 1);
+      const auto delay = [&] {
+        rng ^= rng << 13;
+        rng ^= rng >> 7;
+        rng ^= rng << 17;
+        const std::uint64_t r = rng % 100;
+        if (r < 4) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1 + r % 3));
+        } else if (r < 30) {
+          const auto until = std::chrono::steady_clock::now() +
+                             std::chrono::microseconds(1 + r);
+          while (std::chrono::steady_clock::now() < until) {
+          }
+        }
+      };
+      for (int cycle = 1; cycle <= kCycles; ++cycle) {
+        delay();
+        slots[t] += 1;
+        barrier.arrive_and_wait();
+        std::uint64_t sum = 0;
+        for (const std::uint64_t s : slots) sum += s;
+        if (sum != static_cast<std::uint64_t>(cycle) * kParties)
+          mismatches.fetch_add(1);
+        delay();
+        barrier.arrive_and_wait();
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(barrier.generation(), 2u * kCycles);
+}
+
+TEST(PhaseBarrier, OversubscribedParksInsteadOfSpinning) {
+  // More parties than CPUs: no waiter spins (the thread it waits for may
+  // need its CPU), so 200 cycles finish at futex speed.
+  const unsigned parties =
+      4 * std::max(1u, std::thread::hardware_concurrency());
+  constexpr int kCycles = 200;
+  PhaseBarrier barrier(parties);
+  EXPECT_FALSE(barrier.spins());
+  std::vector<std::uint64_t> slots(parties, 0);
+  std::vector<std::thread> threads;
+  std::atomic<int> mismatches{0};
+  const auto t0 = std::chrono::steady_clock::now();
+  for (unsigned t = 0; t < parties; ++t) {
+    threads.emplace_back([&, t] {
+      for (int cycle = 1; cycle <= kCycles; ++cycle) {
+        slots[t] += 1;
+        barrier.arrive_and_wait();
+        std::uint64_t sum = 0;
+        for (const std::uint64_t s : slots) sum += s;
+        if (sum != static_cast<std::uint64_t>(cycle) * parties)
+          mismatches.fetch_add(1);
+        barrier.arrive_and_wait();
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(barrier.generation(), 2u * kCycles);
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(60));
 }
 
 TEST(ThreadPool, WorkerIndexIsStableAndCoversAllWorkers) {
