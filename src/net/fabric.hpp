@@ -8,7 +8,7 @@
 // only by the shared DeliveryPolicy/SeqKey discipline. Fabric<M> is that
 // mechanism extracted once: dist::Network is now a thin adapter over a
 // single Fabric<dist::Message>, and every rt worker owns a
-// Fabric<rt::Message*> over its shard — serial execution is literally the
+// Fabric<rt::Message> over its shard — serial execution is literally the
 // 1-worker degenerate case of the same code.
 //
 // Determinism contract (what makes the lockstep tiers possible):
@@ -152,8 +152,7 @@ class LinkModel {
 /// The delay queue itself: a ring of future-step buckets covering dues
 /// within `horizon` steps of now, spilling farther dues (bandwidth backlog,
 /// retransmit schedules) into an ordered overflow map. Messages are moved,
-/// never copied twice; ownership semantics are whatever M's are (dist files
-/// Message values, rt files heap Message pointers).
+/// never copied twice; both fabrics file message values.
 template <typename M>
 class Fabric {
  public:
@@ -198,7 +197,7 @@ class Fabric {
   }
 
   /// Drops everything still in flight, invoking `fn(M&)` on each message
-  /// first (rt uses this to delete heap messages and book the discard).
+  /// first (rt books the discard with it).
   template <typename Fn>
   void discard_pending(Fn&& fn) {
     for (auto& slot : rings_) {

@@ -30,7 +30,7 @@
 #include <memory>
 #include <vector>
 
-#include "rt/mailbox.hpp"
+#include "rt/message.hpp"
 #include "util/check.hpp"
 
 namespace clb::rt {

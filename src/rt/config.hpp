@@ -33,7 +33,7 @@ enum class RtPolicy {
 [[nodiscard]] const char* policy_name(RtPolicy p);
 
 /// Message substrate selection. kInProc is this runtime's native mode
-/// (threads + mailboxes in one address space). kUds/kTcp request the
+/// (threads + outboxes in one address space). kUds/kTcp request the
 /// cross-process transport: rt::Runtime itself refuses them — construct a
 /// transport::ProcessRuntime from the same RtConfig instead (it forks one
 /// process per shard and speaks the frame codec over Unix-domain or
@@ -70,7 +70,7 @@ struct RtConfig {
   obs::TraceSink* trace = nullptr;
   /// Test-only fault injection: silently drop the k-th kTransfer message
   /// (1-based; 0 = off). The sender's side-effects (pop, counters, ledger)
-  /// stay — exactly the "broken mailbox" a conservation oracle must convict.
+  /// stay — exactly the "broken exchange" a conservation oracle must convict.
   /// The ordinal counts transfers in canonical (step, source processor)
   /// order — transfers are staged per superstep and numbered by a prefix
   /// scan over the worker shards — so the chosen victim is identical for
@@ -156,7 +156,7 @@ struct RtConfig {
   /// conservation/ledger oracle must convict it).
   bool steal_duplicate_task = false;
   /// Per-worker hot-path telemetry (obs::WorkerTelemetry): superstep and
-  /// barrier timing, mailbox traffic, drain batch sizes. Observation only —
+  /// barrier timing, exchange traffic, drain batch sizes. Observation only —
   /// deterministic outputs are bit-identical on or off. Ignored (forced
   /// false) when the binary was built with -DCLB_TELEMETRY=OFF.
   bool telemetry = false;

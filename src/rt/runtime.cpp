@@ -9,6 +9,7 @@
 #include "rng/dist.hpp"
 #include "rng/philox.hpp"
 #include "rng/splitmix64.hpp"
+#include "rt/outbox.hpp"
 #include "util/check.hpp"
 #include "util/math.hpp"
 
@@ -87,10 +88,14 @@ struct Runtime::LatencyShared {
 struct alignas(64) Runtime::Worker final : ShardCore {
   Worker(Runtime& runtime, unsigned i)
       : ShardCore(runtime.cfg_, *runtime.model_, i, runtime.start_tp_),
-        host(runtime) {}
+        host(runtime),
+        outboxes(runtime.cfg_.workers),
+        cursors(runtime.cfg_.workers) {}
 
-  void send(std::uint32_t dest_proc, Message* m) override;
-  void drain(std::vector<Message*>& out) override;
+  using ShardCore::send;
+  void send(std::uint32_t dest_proc, const Message& m,
+            std::span<const RtTask> tasks) override;
+  void drain(std::vector<Message>& out) override;
   const Blobs& allgather(std::span<const std::uint64_t> blob) override;
   /// A step_barrier_ crossing: allgather()'s, and the runtime's own
   /// shared-board supersteps' (crash re-homing, zoo and steal boards,
@@ -99,21 +104,25 @@ struct alignas(64) Runtime::Worker final : ShardCore {
   void barrier();
   /// A crossing that books nothing (the snapshot emitter's).
   void barrier_untimed();
-  /// drain() variant that collects kTransfer messages into `out` instead of
-  /// applying them on arrival — the zoo policies and the steal pass sort
-  /// arrivals by sender before applying (several senders may target one
-  /// receiver, so arrival order is not canonical there).
-  void drain_collect(std::vector<Message*>& out);
-  /// Hands `f` exactly the messages sent here before this worker's last
-  /// crossing (see rt/mailbox.hpp), booking the drain in telemetry.
+  /// Seals every outbox for the crossing about to be made.
+  void seal();
+  /// Hands `f(message, tasks)` exactly the messages sent here before this
+  /// worker's last crossing (see rt/outbox.hpp): sender by sender in shard
+  /// order, each sender's in send order. Books the drain in telemetry and
+  /// returns its size.
   template <typename F>
-  void drain_inbox(F&& f);
+  std::uint64_t drain_outboxes(F&& f);
 
   Runtime& host;
-  Mailbox inbox;
+  // outboxes[d]: this worker's messages for worker d; cursors[s]: where
+  // this worker's drains stand in worker s's outboxes[index]. Both reset
+  // at step start.
+  std::vector<Outbox> outboxes;
+  std::vector<Outbox::Cursor> cursors;
   // step_barrier_ crossings so far; every worker crosses the same sequence,
-  // so a send stamped with it names the superstep it belongs to.
+  // so a count names the same superstep everywhere.
   std::uint64_t crossings = 0;
+  std::uint64_t step_start_crossings = 0;
   // allgather() buffers, double-buffered by parity: a worker rewrites its
   // parity-p blob only after crossing the next allgather's barrier, which
   // every reader of the previous parity-p exchange has reached by then.
@@ -126,10 +135,11 @@ struct alignas(64) Runtime::Worker final : ShardCore {
   // it and the net::LinkModel state of the links its processors send on
   // (every link (src, *) is planned by owner(src), in protocol order, so
   // the sharded link clocks replay the serial fabric's exactly).
-  net::Fabric<Message*> fabric;
+  net::Fabric<Message> fabric;
   net::LinkModel links;
-  std::vector<Message*> due_batch;
+  std::vector<Message> due_batch;
   std::vector<const Message*> query_batch;
+  std::vector<std::uint64_t> lat_classes;  // barrier B's classification blob
   std::vector<std::uint32_t> lat_active;  // own procs with live requests
   bool lat_running = false;               // replicated phase state
   std::uint64_t lat_phase_index = 0;
@@ -160,6 +170,9 @@ struct alignas(64) Runtime::Worker final : ShardCore {
 
  protected:
   void before_step(std::uint64_t step) override {
+    for (Outbox& o : outboxes) o.reset();
+    for (Outbox::Cursor& c : cursors) c = Outbox::Cursor{};
+    step_start_crossings = crossings;
     host.process_crashes(*this, step);
   }
   void balance(std::uint64_t step) override;
@@ -298,9 +311,6 @@ Runtime::~Runtime() {
   for (auto& w : workers_) {
     if (w->thread.joinable()) w->thread.join();
   }
-  for (auto& w : workers_) {
-    w->fabric.discard_pending([](Message* m) { delete m; });
-  }
 }
 
 void Runtime::run(std::uint64_t steps) {
@@ -334,18 +344,18 @@ void Runtime::run_steps(Worker& w) {
 
 // ---- the in-process exchange seam ----
 
-void Runtime::Worker::send(std::uint32_t dest_proc, Message* m) {
-  if (m->kind == MsgKind::kTransfer && cfg.link_loss_no_retransmit &&
-      links.mutation_lose_first_attempt(m->a, m->b)) {
+void Runtime::Worker::send(std::uint32_t dest_proc, const Message& m,
+                           std::span<const RtTask> tasks) {
+  if (m.kind == MsgKind::kTransfer && cfg.link_loss_no_retransmit &&
+      links.mutation_lose_first_attempt(m.a, m.b)) {
     // The lossy wire without retransmit: the payload evaporates mid-flight
     // and NOTHING books the loss — the tasks are gone from every account,
     // which is exactly what the conservation oracle must convict.
     ++fab_lost_msgs;
-    delete m;
     return;
   }
-  Worker& dst = *host.workers_[owner_of(dest_proc)];
-  if (&dst == this) {
+  const unsigned dst = owner_of(dest_proc);
+  if (dst == index) {
     ++self_pushes;
 #if CLB_TELEMETRY_ENABLED
     if (telemetry) ++telem.enq_self;
@@ -356,12 +366,16 @@ void Runtime::Worker::send(std::uint32_t dest_proc, Message* m) {
     if (telemetry) ++telem.enq_remote;
 #endif
   }
-  m->crossing = crossings;
-  dst.inbox.push(m);
+  outboxes[dst].push(m, tasks);
+}
+
+void Runtime::Worker::seal() {
+  ++crossings;
+  for (Outbox& o : outboxes) o.seal(crossings);
 }
 
 void Runtime::Worker::barrier() {
-  ++crossings;
+  seal();
 #if CLB_TELEMETRY_ENABLED
   if (telemetry) {
     const std::uint64_t ns = host.step_barrier_.arrive_and_wait_timed();
@@ -378,7 +392,7 @@ void Runtime::Worker::barrier() {
 }
 
 void Runtime::Worker::barrier_untimed() {
-  ++crossings;
+  seal();
   host.step_barrier_.arrive_and_wait();
 }
 
@@ -392,8 +406,14 @@ const Blobs& Runtime::Worker::allgather(std::span<const std::uint64_t> blob) {
 }
 
 template <typename F>
-void Runtime::Worker::drain_inbox(F&& f) {
-  const std::uint64_t n_drained = inbox.drain(crossings, f);
+std::uint64_t Runtime::Worker::drain_outboxes(F&& f) {
+  CLB_DCHECK(crossings > step_start_crossings,
+             "a drain must follow a crossing of its own step");
+  std::uint64_t n_drained = 0;
+  for (const auto& sender : host.workers_) {
+    n_drained += sender->outboxes[index].drain(cursors[sender->index],
+                                               crossings, f);
+  }
 #if CLB_TELEMETRY_ENABLED
   if (telemetry) {
     ++telem.drains;
@@ -402,28 +422,24 @@ void Runtime::Worker::drain_inbox(F&& f) {
     CLB_TRACE_EVENT(cfg.trace, obs::EventKind::kMailboxDrain, cur_step, 0, 0,
                     n_drained);
   }
-#else
-  (void)n_drained;
 #endif
+  return n_drained;
 }
 
-void Runtime::Worker::drain(std::vector<Message*>& out) {
+void Runtime::Worker::drain(std::vector<Message>& out) {
   out.clear();
-  drain_inbox([&](Message* m) {
-    if (m->kind == MsgKind::kTransfer) {
-      // Order-insensitive: at most one transfer reaches a given light per
-      // phase (the assigned flag), so applying on drain keeps determinism.
-      apply_transfer(*m);
-      delete m;
-      return;
+  // Arrival order is canonical here: senders in shard (= processor) order,
+  // each in send order. The task-carrying kinds rely on it — a threshold
+  // light receives at most one transfer per phase, but a zoo receiver may
+  // take several (in ascending-sender order, as the decision lists are
+  // sorted), and scatters land in (source, sequence) order.
+  drain_outboxes([&](const Message& m, std::span<const RtTask> tasks) {
+    if (carries_tasks(m.kind)) {
+      apply_tasks(m, tasks);
+    } else {
+      out.push_back(m);
     }
-    out.push_back(m);
   });
-}
-
-void Runtime::Worker::drain_collect(std::vector<Message*>& out) {
-  out.clear();
-  drain_inbox([&](Message* m) { out.push_back(m); });
 }
 
 // ---- the runtime's own policies around the core's step ----
@@ -504,13 +520,12 @@ void Runtime::run_scatter(Worker& w, std::uint64_t step) {
       RtTask t = pr.queue.front();
       pr.queue.pop_front();
       const auto target = static_cast<std::uint32_t>(rng::bounded(rng, cfg_.n));
-      auto* m = new Message;
-      m->kind = MsgKind::kScatter;
-      m->key = (p << 32) | seq;
-      m->a = static_cast<std::uint32_t>(p);
-      m->b = target;
-      m->payload.push_back(t);
-      w.send(target, m);
+      Message m;
+      m.kind = MsgKind::kScatter;
+      m.key = (p << 32) | seq;
+      m.a = static_cast<std::uint32_t>(p);
+      m.b = target;
+      w.send(target, m, {&t, 1});
       ++seq;
     }
     scattered += seq;
@@ -518,16 +533,9 @@ void Runtime::run_scatter(Worker& w, std::uint64_t step) {
   w.msg.control += scattered;     // one routing message per task (as in sim)
   w.msg.tasks_moved += scattered;
   w.barrier();
+  // The drain lands the scatters in (source, sequence) = key order.
   w.drain(w.batch);
-  if (cfg_.deterministic) {
-    std::sort(w.batch.begin(), w.batch.end(), key_less);
-  }
-  for (Message* m : w.batch) {
-    CLB_DCHECK(m->kind == MsgKind::kScatter, "unexpected message in scatter");
-    w.proc(m->b).queue.push_back(m->payload[0], w.arena);
-    delete m;
-  }
-  w.batch.clear();
+  CLB_DCHECK(w.batch.empty(), "unexpected message in scatter");
   // The closing reduction sums this so the leader can count the one global
   // balancing action.
   w.balanced = scattered;
@@ -592,21 +600,13 @@ void Runtime::run_zoo(Worker& w, std::uint64_t step) {
   w.transfer_seen += ds.size();
   w.barrier();
 
-  // Arrivals: collect, order by sender, apply. Several senders may target
-  // one receiver, so arrival order is not canonical — unlike the threshold
-  // protocol's one-transfer-per-light, which is why drain()'s apply-on-
-  // arrival shortcut cannot be used here. The decision rule's suppression
-  // (no sender is also a receiver) makes send-time pops and sorted pushes
+  // Arrivals in ascending-sender order: several senders may target one
+  // receiver, and the drain hands them over sender shard by sender shard,
+  // each shard's in its list order. The decision rule's suppression (no
+  // sender is also a receiver) makes send-time pops and these pushes
   // reproduce the engine's schedule-order application exactly.
-  w.drain_collect(w.batch);
-  std::sort(w.batch.begin(), w.batch.end(),
-            [](const Message* x, const Message* y) { return x->a < y->a; });
-  for (Message* m : w.batch) {
-    CLB_DCHECK(m->kind == MsgKind::kTransfer, "unexpected message in zoo step");
-    w.apply_transfer(*m);
-    delete m;
-  }
-  w.batch.clear();
+  w.drain(w.batch);
+  CLB_DCHECK(w.batch.empty(), "unexpected message in zoo step");
 }
 
 void Runtime::run_steal(Worker& w, std::uint64_t step) {
@@ -657,20 +657,11 @@ void Runtime::run_steal(Worker& w, std::uint64_t step) {
   w.barrier();
 
   // Arrivals in ascending-victim order, exactly like the zoo policies (a
-  // thief receives at most one batch, but sorting keeps the application
-  // order canonical regardless). The balancing policy's first sends (all-in-
-  // air scatters at once) may already reach a slower worker's mailbox: they
-  // are stamped past this drain's crossing and wait for the next.
-  w.drain_collect(w.batch);
-  std::sort(w.batch.begin(), w.batch.end(),
-            [](const Message* x, const Message* y) { return x->a < y->a; });
-  for (Message* m : w.batch) {
-    CLB_DCHECK(m->kind == MsgKind::kTransfer,
-               "unexpected message in steal step");
-    w.apply_transfer(*m);
-    delete m;
-  }
-  w.batch.clear();
+  // thief receives at most one batch anyway). The balancing policy's first
+  // sends (all-in-air scatters at once) may already reach a slower
+  // worker's outbox: they lie past this drain's seal and wait for the next.
+  w.drain(w.batch);
+  CLB_DCHECK(w.batch.empty(), "unexpected message in steal step");
 }
 
 // ===========================================================================
@@ -703,7 +694,7 @@ void Runtime::run_steal(Worker& w, std::uint64_t step) {
 //       tasks to the partner's owner.
 //   --- barrier B ---   (carries the S4 classification; the leader
 //                        assembles the phase-start summary from it)
-//   S6  drain own mailbox: apply due-now payloads, file everything else
+//   S6  drain the outboxes: apply due-now payloads, file everything else
 //       into the fabric by due step.
 //
 // The shard core's closing reduction seals the step: messages
@@ -711,13 +702,13 @@ void Runtime::run_steal(Worker& w, std::uint64_t step) {
 // S1 sees a complete, quiescent fabric.
 // ===========================================================================
 
-void Runtime::lat_send(Worker& w, std::uint64_t step, Message* m) {
-  m->seq = net::SeqKey{step, w.seq_stage, w.seq_major, w.seq_minor++};
+void Runtime::lat_send(Worker& w, std::uint64_t step, Message m) {
+  m.seq = net::SeqKey{step, w.seq_stage, w.seq_major, w.seq_minor++};
   // The link model decides when the send matures (wire delay plus queueing
-  // and retransmit schedule); `m->from` is always owned by this worker, so
+  // and retransmit schedule); `m.from` is always owned by this worker, so
   // the sharded per-link clocks replay the serial fabric's exactly.
   const net::SendPlan plan =
-      w.links.plan(m->from, m->to, step, lat_->policy.delay(m->from, m->to));
+      w.links.plan(m.from, m.to, step, lat_->policy.delay(m.from, m.to));
   std::uint64_t due = plan.due;
   if (cfg_.delay_skew_message != 0) {
     const std::uint64_t ord =
@@ -725,22 +716,17 @@ void Runtime::lat_send(Worker& w, std::uint64_t step, Message* m) {
     // The skewed fabric: one message matures a superstep early.
     if (ord == cfg_.delay_skew_message && due > step + 1) --due;
   }
-  m->due = due;
+  m.due = due;
   ++w.fab_sent;
   // Transfer commands are staged (and popped) at the source's owner; every
   // other kind goes to its protocol recipient.
-  const std::uint32_t route =
-      m->kind == MsgKind::kTransferCmd ? m->from : m->to;
-  if (plan.dup && cfg_.dup_delivery && m->kind == MsgKind::kTransferCmd) {
+  const std::uint32_t route = m.kind == MsgKind::kTransferCmd ? m.from : m.to;
+  if (plan.dup && cfg_.dup_delivery && m.kind == MsgKind::kTransferCmd) {
     // The dup-delivery mutation: materialise the ack-loss duplicate the
     // clean fabric suppresses. The clone matures one rto later, stages the
     // same transfer a second time, and the ledger diverges from the shadow.
-    auto* d = new Message;
-    d->kind = m->kind;
-    d->from = m->from;
-    d->to = m->to;
-    d->seq = m->seq;
-    d->due = plan.dup_due;
+    Message d = m;
+    d.due = plan.dup_due;
     ++w.fab_sent;  // the clone matures too; drain detection stays exact
     ++w.dup_applied;
     w.send(route, d);
@@ -755,12 +741,12 @@ void Runtime::lat_send_pending_queries(Worker& w, std::uint64_t step,
   std::uint64_t worst_delay = 1;
   for (std::uint32_t j = 0; j < cfg_.game.a; ++j) {
     if (r.accepted_mask & (1u << j)) continue;
-    auto* m = new Message;
-    m->kind = MsgKind::kQuery;
-    m->from = proc;
-    m->to = r.targets[j];
-    m->a = r.root;
-    m->b = r.level;
+    Message m;
+    m.kind = MsgKind::kQuery;
+    m.from = proc;
+    m.to = r.targets[j];
+    m.a = r.root;
+    m.b = r.level;
     lat_send(w, step, m);
     ++w.msg.queries;
     worst_delay = std::max(worst_delay, lat_->policy.delay(proc, r.targets[j]));
@@ -814,12 +800,12 @@ void Runtime::lat_process_due(Worker& w, std::uint64_t step) {
   // staged transfer commands, the recipient otherwise); the canonical seq
   // stamp orders processing within a group in deterministic mode — the
   // exact sort dist::Network::deliver runs.
-  const auto group_of = [](const Message* m) {
-    return m->kind == MsgKind::kTransferCmd ? m->from : m->to;
+  const auto group_of = [](const Message& m) {
+    return m.kind == MsgKind::kTransferCmd ? m.from : m.to;
   };
   net::sort_due_batch(
       due, group_of,
-      [](const Message* m) -> const net::SeqKey& { return m->seq; },
+      [](const Message& m) -> const net::SeqKey& { return m.seq; },
       cfg_.deterministic);
   std::size_t i = 0;
   while (i < due.size()) {
@@ -830,7 +816,7 @@ void Runtime::lat_process_due(Worker& w, std::uint64_t step) {
     w.query_batch.clear();
     std::size_t j = i;
     for (; j < due.size() && group_of(due[j]) == recipient; ++j) {
-      const Message* m = due[j];
+      const Message* m = &due[j];
       CLB_DCHECK(m->due == step, "ring slot held a message for another step");
       switch (m->kind) {
         case MsgKind::kQuery:
@@ -860,10 +846,10 @@ void Runtime::lat_process_due(Worker& w, std::uint64_t step) {
             root.matched_partner = m->from;
             // Ship the block: the command matures delay(root, partner)
             // steps from now at this same owner, which then pops the tasks.
-            auto* cmd = new Message;
-            cmd->kind = MsgKind::kTransferCmd;
-            cmd->from = recipient;
-            cmd->to = m->from;
+            Message cmd;
+            cmd.kind = MsgKind::kTransferCmd;
+            cmd.from = recipient;
+            cmd.to = m->from;
             lat_send(w, step, cmd);
           }
           break;
@@ -900,19 +886,19 @@ void Runtime::lat_process_due(Worker& w, std::uint64_t step) {
             applicative = true;
             tp.assigned_epoch = w.phase_epoch;
             // Announce directly to the boss (its id rode in the query).
-            auto* id = new Message;
-            id->kind = MsgKind::kId;
-            id->from = recipient;
-            id->to = q->a;
+            Message id;
+            id.kind = MsgKind::kId;
+            id.from = recipient;
+            id.to = q->a;
             lat_send(w, step, id);
             ++w.msg.id_messages;
           }
-          auto* ac = new Message;
-          ac->kind = MsgKind::kAccept;
-          ac->from = recipient;
-          ac->to = q->from;
-          ac->a = q->a;
-          ac->b = applicative ? 1u : 0u;
+          Message ac;
+          ac.kind = MsgKind::kAccept;
+          ac.from = recipient;
+          ac.to = q->from;
+          ac.a = q->a;
+          ac.b = applicative ? 1u : 0u;
           lat_send(w, step, ac);
           ++w.msg.accepts;
         }
@@ -920,8 +906,6 @@ void Runtime::lat_process_due(Worker& w, std::uint64_t step) {
     }
     i = j;
   }
-  for (Message* m : due) delete m;
-  due.clear();
 }
 
 void Runtime::lat_evaluate(Worker& w, std::uint64_t step) {
@@ -947,12 +931,12 @@ void Runtime::lat_evaluate(Worker& w, std::uint64_t step) {
       }
       if (!any_applicative && r.level < cfg_.params.tree_depth) {
         for (std::uint32_t k = 0; k < kids; ++k) {
-          auto* m = new Message;
-          m->kind = MsgKind::kForward;
-          m->from = proc;
-          m->to = r.child[k];
-          m->a = r.root;
-          m->b = static_cast<std::uint32_t>(r.level + 1);
+          Message m;
+          m.kind = MsgKind::kForward;
+          m.from = proc;
+          m.to = r.child[k];
+          m.a = r.root;
+          m.b = static_cast<std::uint32_t>(r.level + 1);
           lat_send(w, step, m);
         }
       }
@@ -971,42 +955,32 @@ void Runtime::lat_evaluate(Worker& w, std::uint64_t step) {
 
 void Runtime::lat_discard_undelivered(Worker& w) {
   // dist's forced net reset, shard by shard: every undelivered message is
-  // either in its owner's fabric or still in a mailbox (sent this step, not
-  // yet filed); the owner discards both and books them as delivered so the
-  // fabric reads as drained everywhere. The link clocks reset with it — a
-  // forced end abandons the wire (dist::Network::reset does the same).
-  w.fabric.discard_pending([&](Message* m) {
-    ++w.fab_delivered;
-    delete m;
-  });
+  // either in its owner's fabric or still in an outbox (sent this step,
+  // not yet filed); the owner discards both and books them as delivered so
+  // the fabric reads as drained everywhere. The link clocks reset with it
+  // — a forced end abandons the wire (dist::Network::reset does the same).
+  w.fabric.discard_pending([&](const Message&) { ++w.fab_delivered; });
   w.links.reset();
-  const std::uint64_t discarded =
-      w.inbox.drain(w.crossings, [](Message* m) {
-        CLB_DCHECK(m->kind != MsgKind::kTransfer,
+  // The drain books the discards in telemetry, so enqueue == dequeue stays
+  // an invariant.
+  w.fab_delivered += w.drain_outboxes(
+      []([[maybe_unused]] const Message& m, std::span<const RtTask>) {
+        CLB_DCHECK(m.kind != MsgKind::kTransfer,
                    "payloads cannot be in flight at the phase decision");
-        delete m;
       });
-  w.fab_delivered += discarded;
-#if CLB_TELEMETRY_ENABLED
-  // Book the discards so enqueue == dequeue stays an invariant (messages
-  // filed into rings were already counted at their lat_drain_and_file
-  // drain).
-  if (w.telemetry) w.telem.deq += discarded;
-#endif
 }
 
 void Runtime::lat_drain_and_file(Worker& w, std::uint64_t step) {
-  w.drain_inbox([&](Message* m) {
-    if (m->kind == MsgKind::kTransfer) {
+  w.drain_outboxes([&](const Message& m, std::span<const RtTask> tasks) {
+    if (m.kind == MsgKind::kTransfer) {
       // Due-now payload: the partner's owner appends the tasks, closing the
       // move the source's owner started in S5 this step.
-      CLB_DCHECK(m->due == step, "stale transfer payload");
-      w.apply_transfer(*m);
-      delete m;
+      CLB_DCHECK(m.due == step, "stale transfer payload");
+      w.apply_tasks(m, tasks);
       return;
     }
     // Fabric::file DCHECKs due > now — the deterministic-replay guarantee.
-    w.fabric.file(step, m->due, m);
+    w.fabric.file(step, m.due, m);
   });
 }
 
@@ -1096,7 +1070,8 @@ void Runtime::run_lat_protocol(Worker& w, std::uint64_t step) {
   // S4: start a phase. Classification reads the queues before this step's
   // transfers are applied — the engine's balancer sees exactly that state.
   // Barrier B carries [light count, heavy procs...] on a phase-start step.
-  std::vector<std::uint64_t> classes;
+  std::vector<std::uint64_t>& classes = w.lat_classes;
+  classes.clear();
   const bool phase_start = !w.lat_running && step >= w.lat_next_phase;
   if (phase_start) {
     ++w.phase_epoch;
@@ -1147,7 +1122,7 @@ void Runtime::run_lat_protocol(Worker& w, std::uint64_t step) {
     w.phases.push_back(std::move(ps));
   }
 
-  // S6: drain the mailbox — apply due-now payloads, file the rest.
+  // S6: drain the outboxes — apply due-now payloads, file the rest.
   lat_drain_and_file(w, step);
 }
 

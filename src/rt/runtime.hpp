@@ -4,11 +4,12 @@
 // shards, each owned by one worker thread running one rt::ShardCore (see
 // rt/shard_core.hpp for the step schedule and the determinism contract).
 // Workers implement the core's exchange seam in one address space: send()
-// stamps the message with the sender's barrier-crossing count and pushes it
-// to the owner's lock-free MPSC mailbox, drain() takes exactly the messages
-// stamped before the drainer's own count, and allgather() is a
-// util::PhaseBarrier crossing over per-worker blob buffers double-buffered
-// by parity. There is no global lock anywhere on the hot path.
+// copies the message (and the tasks it carries) into the sender's outbox
+// for the owner (rt/outbox.hpp), drain() takes from every sender's outbox
+// exactly the messages sealed at the drainer's last crossing, and
+// allgather() is a util::PhaseBarrier crossing over per-worker blob buffers
+// double-buffered by parity. There is no lock and no allocation on the hot
+// path once the outboxes have grown to a step's traffic.
 //
 // On top of the core's instant threshold schedule the runtime adds the
 // policies only it carries: the latency fabric (the dist:: protocol over
@@ -70,7 +71,8 @@ class Runtime {
   [[nodiscard]] std::uint64_t running_max_load() const;
   /// generated + deposited == consumed + queued + dropped? Count-based only
   /// — identity-blind, which is precisely why the fuzzer's FIFO oracle and
-  /// not this check must convict the mailbox-drop mutation.
+  /// not this check must convict the mailbox-drop mutation (a transfer
+  /// that never reaches its recipient).
   [[nodiscard]] bool conservation_holds() const;
 
   /// Message counters summed over workers (same attribution rules as the
@@ -92,8 +94,8 @@ class Runtime {
   /// Wall-clock seconds spent inside run() so far.
   [[nodiscard]] double wall_seconds() const { return wall_seconds_; }
 
-  /// Mailbox traffic: messages pushed to another worker's mailbox vs the
-  /// sender's own. The remote fraction is the contention exposure.
+  /// Exchange traffic: messages sent to another worker vs to the sender's
+  /// own shard. The remote fraction is the cross-core share.
   [[nodiscard]] std::uint64_t remote_pushes() const;
   [[nodiscard]] std::uint64_t self_pushes() const;
 
@@ -204,7 +206,7 @@ class Runtime {
   // ---- latency fabric (RtConfig::latency >= 1; see rt/latency section
   // of runtime.cpp) ----
   void run_lat_protocol(Worker& w, std::uint64_t step);
-  void lat_send(Worker& w, std::uint64_t step, Message* m);
+  void lat_send(Worker& w, std::uint64_t step, Message m);
   void lat_start_request(Worker& w, std::uint64_t step, std::uint32_t proc,
                          std::uint32_t root, std::uint32_t level);
   void lat_send_pending_queries(Worker& w, std::uint64_t step,

@@ -35,9 +35,9 @@ ShardCore::Node& node_at(std::vector<ShardCore::Node>& nodes,
 
 }  // namespace
 
-bool key_less(const Message* a, const Message* b) {
-  if (a->key != b->key) return a->key < b->key;
-  return static_cast<int>(a->kind) < static_cast<int>(b->kind);
+bool key_less(const Message& a, const Message& b) {
+  if (a.key != b.key) return a.key < b.key;
+  return static_cast<int>(a.kind) < static_cast<int>(b.kind);
 }
 
 ShardCore::ShardCore(const RtConfig& config, sim::LoadModel& load_model,
@@ -74,10 +74,11 @@ std::uint32_t ShardCore::now_us() const {
           .count());
 }
 
-void ShardCore::apply_transfer(const Message& m) {
+void ShardCore::apply_tasks(const Message& m, std::span<const RtTask> tasks) {
+  CLB_DCHECK(carries_tasks(m.kind), "only transfers and scatters carry tasks");
   RtProcessor& dst = proc(m.b);
-  dst.tasks_received += m.payload.size();
-  for (const RtTask& t : m.payload) dst.queue.push_back(t, arena);
+  if (m.kind == MsgKind::kTransfer) dst.tasks_received += tasks.size();
+  for (const RtTask& t : tasks) dst.queue.push_back(t, arena);
 }
 
 void ShardCore::send_transfer(std::uint64_t step, std::uint32_t root,
@@ -89,13 +90,14 @@ void ShardCore::send_transfer(std::uint64_t step, std::uint32_t root,
     count = src.queue.size();
     ++clamped;
   }
-  auto* m = new Message;
-  m->kind = MsgKind::kTransfer;
-  m->key = root;
-  m->a = root;
-  m->b = partner;
-  m->due = step;  // latency mode: payload hops mature the same step
-  src.queue.extract_back(count, m->payload);
+  Message m;
+  m.kind = MsgKind::kTransfer;
+  m.key = root;
+  m.a = root;
+  m.b = partner;
+  m.due = step;  // latency mode: payload hops mature the same step
+  transfer_tasks_.clear();
+  src.queue.extract_back(count, transfer_tasks_);
   src.tasks_sent += count;
   ++msg.transfers;
   msg.tasks_moved += count;
@@ -104,16 +106,15 @@ void ShardCore::send_transfer(std::uint64_t step, std::uint32_t root,
   CLB_TRACE_EVENT(cfg.trace, obs::EventKind::kTransfer, step, root, partner,
                   count);
   if (ordinal != 0 && ordinal == cfg.drop_transfer_message) {
-    // The broken mailbox: the sender's books all say the transfer
+    // The broken exchange: the sender's books all say the transfer
     // happened, the receiver never sees it.
     ++dropped_msgs;
     dropped_task_count += count;
     dropped.push_back(LedgerEntry{step, root, partner,
                                   static_cast<std::uint32_t>(count)});
-    delete m;
     return;
   }
-  send(partner, m);
+  send(partner, m, transfer_tasks_);
 }
 
 void ShardCore::apply_staged_transfers(std::uint64_t step, std::uint64_t base,
@@ -316,7 +317,7 @@ void ShardCore::run_phase(std::uint64_t step) {
     node.slot = heavy_base + i;
     node.proc = heavy_local[i];
     node.root = heavy_local[i];
-    nodes.push_back(std::move(node));
+    nodes.push_back(node);
   }
 
   std::uint64_t node_count = total_heavy;
@@ -351,7 +352,6 @@ std::uint64_t ShardCore::run_level(std::uint64_t step,
     node.active = true;
     node.pending_children = 0;
     node.status_nonapp = 0;
-    node.accepted.clear();
   }
 
   // ---- collision rounds (Figure 1) as 3-superstep exchanges ----
@@ -367,11 +367,11 @@ std::uint64_t ShardCore::run_level(std::uint64_t step,
       if (!node.active) continue;
       for (std::uint32_t j = 0; j < game.a; ++j) {
         if (node.accepted_mask & (1u << j)) continue;
-        auto* m = new Message;
-        m->kind = MsgKind::kQuery;
-        m->key = (node.slot << 4) | j;
-        m->a = node.targets[j];
-        m->b = node.proc;
+        Message m;
+        m.kind = MsgKind::kQuery;
+        m.key = (node.slot << 4) | j;
+        m.a = node.targets[j];
+        m.b = node.proc;
         send(node.targets[j], m);
         ++msg.queries;
       }
@@ -383,17 +383,17 @@ std::uint64_t ShardCore::run_level(std::uint64_t step,
     // accepted query. The replies may go out while a slower shard is still
     // draining: drain() is exact (see the seam), so they wait for R3.
     drain(batch);
-    for (const Message* m : batch) {
-      CLB_DCHECK(m->kind == MsgKind::kQuery, "unexpected message in R2");
-      RtProcessor& t = proc(m->a);
+    for (const Message& m : batch) {
+      CLB_DCHECK(m.kind == MsgKind::kQuery, "unexpected message in R2");
+      RtProcessor& t = proc(m.a);
       if (t.incoming_epoch != round_epoch) {
         t.incoming_epoch = round_epoch;
         t.incoming = 0;
       }
       ++t.incoming;
     }
-    for (Message* m : batch) {
-      RtProcessor& t = proc(m->a);
+    for (const Message& m : batch) {
+      RtProcessor& t = proc(m.a);
       if (t.decide_epoch != round_epoch) {
         t.decide_epoch = round_epoch;
         const std::uint32_t prior =
@@ -407,26 +407,22 @@ std::uint64_t ShardCore::run_level(std::uint64_t step,
         }
       }
       if (t.accepts_round) {
-        auto* r = new Message;
-        r->kind = MsgKind::kAccept;
-        r->key = m->key;
-        r->a = m->b;  // route back to the requesting node's processor
-        send(m->b, r);
+        Message r;
+        r.kind = MsgKind::kAccept;
+        r.key = m.key;
+        r.a = m.b;  // route back to the requesting node's processor
+        send(m.b, r);
       }
-      delete m;
     }
-    batch.clear();
     allgather({});
 
     // R3: requests collect accepts — mark reply bits first, then append in
     // j order (the simulator's pass-3 order); >= b accepts leaves the game.
     drain(batch);
-    for (Message* m : batch) {
-      CLB_DCHECK(m->kind == MsgKind::kAccept, "unexpected message in R3");
-      node_at(nodes, m->key >> 4).round_replies |= 1u << (m->key & 15);
-      delete m;
+    for (const Message& m : batch) {
+      CLB_DCHECK(m.kind == MsgKind::kAccept, "unexpected message in R3");
+      node_at(nodes, m.key >> 4).round_replies |= 1u << (m.key & 15);
     }
-    batch.clear();
     std::uint64_t local_active = 0;
     for (Node& node : nodes) {
       if (!node.active) continue;
@@ -434,8 +430,7 @@ std::uint64_t ShardCore::run_level(std::uint64_t step,
         for (std::uint32_t j = 0; j < game.a; ++j) {
           if (node.round_replies & (1u << j)) {
             node.accepted_mask |= 1u << j;
-            ++node.accept_count;
-            node.accepted.push_back(node.targets[j]);
+            node.accepted[node.accept_count++] = node.targets[j];
           }
         }
         node.round_replies = 0;
@@ -453,16 +448,16 @@ std::uint64_t ShardCore::run_level(std::uint64_t step,
 
   // ---- children announcement (first two accepts become tree children) ----
   for (Node& node : nodes) {
-    const auto k =
-        static_cast<std::uint8_t>(std::min<std::size_t>(node.accepted.size(), 2));
+    const auto k = static_cast<std::uint8_t>(
+        std::min<std::uint32_t>(node.accept_count, 2));
     node.pending_children = k;
     for (std::uint8_t s = 0; s < k; ++s) {
-      auto* m = new Message;
-      m->kind = MsgKind::kChild;
-      m->key = (node.slot << 1) | s;
-      m->a = node.accepted[s];
-      m->b = node.root;
-      m->c = node.proc;
+      Message m;
+      m.kind = MsgKind::kChild;
+      m.key = (node.slot << 1) | s;
+      m.a = node.accepted[s];
+      m.b = node.root;
+      m.c = node.proc;
       send(node.accepted[s], m);
     }
   }
@@ -474,31 +469,29 @@ std::uint64_t ShardCore::run_level(std::uint64_t step,
   // processor — exactly the simulator's iteration order.
   drain(batch);
   if (cfg.deterministic) std::sort(batch.begin(), batch.end(), key_less);
-  for (Message* m : batch) {
-    CLB_DCHECK(m->kind == MsgKind::kChild, "unexpected message in L2");
-    const std::uint32_t q = m->a;
+  for (const Message& m : batch) {
+    CLB_DCHECK(m.kind == MsgKind::kChild, "unexpected message in L2");
+    const std::uint32_t q = m.a;
     RtProcessor& qp = proc(q);
     const bool applicative =
         qp.light_epoch == phase_epoch && qp.assigned_epoch != phase_epoch;
     if (applicative) {
       qp.assigned_epoch = phase_epoch;
-      auto* id = new Message;
-      id->kind = MsgKind::kId;
-      id->key = m->key;
-      id->a = m->b;  // root
-      id->b = q;
-      send(m->b, id);
+      Message id;
+      id.kind = MsgKind::kId;
+      id.key = m.key;
+      id.a = m.b;  // root
+      id.b = q;
+      send(m.b, id);
       ++msg.id_messages;
     }
-    auto* st = new Message;
-    st->kind = MsgKind::kChildStatus;
-    st->key = m->key;
-    st->a = m->c;  // parent
-    st->b = applicative ? 1 : 0;
-    send(m->c, st);
-    delete m;
+    Message st;
+    st.kind = MsgKind::kChildStatus;
+    st.key = m.key;
+    st.a = m.c;  // parent
+    st.b = applicative ? 1 : 0;
+    send(m.c, st);
   }
-  batch.clear();
   allgather({});
 
   // ---- L3: roots match on the first id (sorted: lowest (g, s) edge wins,
@@ -506,21 +499,19 @@ std::uint64_t ShardCore::run_level(std::uint64_t step,
   // rule and stage forwards.
   drain(batch);
   if (cfg.deterministic) std::sort(batch.begin(), batch.end(), key_less);
-  for (Message* m : batch) {
-    if (m->kind == MsgKind::kId) {
-      RtProcessor& root = proc(m->a);
+  for (const Message& m : batch) {
+    if (m.kind == MsgKind::kId) {
+      RtProcessor& root = proc(m.a);
       if (root.matched_epoch != phase_epoch) {
         root.matched_epoch = phase_epoch;
-        root.matched_partner = m->b;
-        staged.push_back(StagedTransfer{m->a, m->b});
+        root.matched_partner = m.b;
+        staged.push_back(StagedTransfer{m.a, m.b});
       }
     } else {
-      CLB_DCHECK(m->kind == MsgKind::kChildStatus, "unexpected message in L3");
-      if (m->b == 0) ++node_at(nodes, m->key >> 1).status_nonapp;
+      CLB_DCHECK(m.kind == MsgKind::kChildStatus, "unexpected message in L3");
+      if (m.b == 0) ++node_at(nodes, m.key >> 1).status_nonapp;
     }
-    delete m;
   }
-  batch.clear();
   scan.clear();
   for (Node& node : nodes) {
     const std::uint8_t k = node.pending_children;
@@ -597,11 +588,11 @@ std::uint64_t ShardCore::run_level(std::uint64_t step,
   // ---- forward children into next-level nodes ----
   for (const ScanEntry& e : scan) {
     for (std::uint32_t s = 0; s < e.count; ++s) {
-      auto* m = new Message;
-      m->kind = MsgKind::kForward;
-      m->key = e.base + s;
-      m->a = e.child[s];
-      m->b = e.root;
+      Message m;
+      m.kind = MsgKind::kForward;
+      m.key = e.base + s;
+      m.a = e.child[s];
+      m.b = e.root;
       send(e.child[s], m);
     }
   }
@@ -609,16 +600,14 @@ std::uint64_t ShardCore::run_level(std::uint64_t step,
 
   drain(batch);
   next_nodes.clear();
-  for (Message* m : batch) {
-    CLB_DCHECK(m->kind == MsgKind::kForward, "unexpected message in L5");
+  for (const Message& m : batch) {
+    CLB_DCHECK(m.kind == MsgKind::kForward, "unexpected message in L5");
     Node node;
-    node.slot = m->key;
-    node.proc = m->a;
-    node.root = m->b;
-    next_nodes.push_back(std::move(node));
-    delete m;
+    node.slot = m.key;
+    node.proc = m.a;
+    node.root = m.b;
+    next_nodes.push_back(node);
   }
-  batch.clear();
   std::sort(next_nodes.begin(), next_nodes.end(),
             [](const Node& a, const Node& b) { return a.slot < b.slot; });
   nodes.swap(next_nodes);

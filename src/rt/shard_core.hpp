@@ -19,20 +19,24 @@
 // The core talks to its peers only through a three-operation seam, which
 // each executor implements:
 //
-//   send(dest, m)    route a message to the shard owning processor `dest`;
+//   send(dest, m)    copy message `m` (a value) to the shard owning
+//                    processor `dest`; a kTransfer or kScatter passes its
+//                    tasks beside it. No ownership passes;
 //   drain(out)       exactly the messages sent here before this shard's
-//                    last allgather(): transfers are applied on arrival,
-//                    the rest returned. Messages a faster peer sent after
-//                    crossing that allgather wait for the next drain, so a
-//                    shard may send right after it drains;
+//                    last allgather(), as values: task-carrying messages
+//                    are applied on arrival, the rest returned. Messages a
+//                    faster peer sent after crossing that allgather wait
+//                    for the next drain, so a shard may send right after
+//                    it drains;
 //   allgather(blob)  a barrier that also exchanges each shard's small u64
 //                    blob (heavy lists, scan lists and counts ride these).
 //
-// rt::Runtime implements it with mailboxes and util::PhaseBarrier, its
-// drains exact by the senders' crossing stamps; the transport with per-peer
-// kBatch frames and the coordinator barrier, its drains exact by counting
-// one batch per peer per barrier. Both cross the same schedule: per step
-// one closing reduction, per phase one classification reduction, per
+// rt::Runtime implements it with per-(sender, destination) outboxes
+// (rt/outbox.hpp) and util::PhaseBarrier, its drains exact by the counts
+// each sender seals at every crossing; the transport with per-peer kBatch
+// frames and the coordinator barrier, its drains exact by counting one
+// batch per peer per barrier. Both cross the same schedule: per step one
+// closing reduction, per phase one classification reduction, per
 // collision round 3 allgathers, per tree level 5.
 //
 // Determinism contract (RtConfig::deterministic): drained batches whose
@@ -47,11 +51,12 @@
 #include <chrono>
 #include <cstdint>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "obs/telemetry.hpp"
 #include "rt/config.hpp"
-#include "rt/mailbox.hpp"
+#include "rt/message.hpp"
 #include "sim/counters.hpp"
 #include "sim/model.hpp"
 #include "stats/histogram.hpp"
@@ -62,7 +67,7 @@ namespace clb::rt {
 inline constexpr std::uint32_t kMaxA = 16;
 
 /// Canonical processing order of a drained batch: by key, then kind.
-[[nodiscard]] bool key_less(const Message* a, const Message* b);
+[[nodiscard]] bool key_less(const Message& a, const Message& b);
 
 /// The block partition of n processors over `workers` shards, with O(1)
 /// owner lookup.
@@ -100,11 +105,16 @@ class ShardCore {
   ShardCore& operator=(const ShardCore&) = delete;
 
   // ---- the exchange seam (see file header) ----
-  /// Ownership of `m` passes to the seam.
-  virtual void send(std::uint32_t dest_proc, Message* m) = 0;
-  /// Clears `out`, then fills it with the non-transfer messages (the
-  /// caller deletes them).
-  virtual void drain(std::vector<Message*>& out) = 0;
+  /// Copies `m` to the owner of `dest_proc`; `tasks` are what a kTransfer
+  /// or kScatter carries (the seam sets m.task_count from them).
+  virtual void send(std::uint32_t dest_proc, const Message& m,
+                    std::span<const RtTask> tasks) = 0;
+  void send(std::uint32_t dest_proc, const Message& m) {
+    send(dest_proc, m, {});
+  }
+  /// Clears `out`, then fills it with the drained messages that carry no
+  /// tasks; the others go to apply_tasks() on arrival.
+  virtual void drain(std::vector<Message>& out) = 0;
   virtual const Blobs& allgather(std::span<const std::uint64_t> blob) = 0;
 
   /// One runtime step (see file header).
@@ -121,7 +131,9 @@ class ShardCore {
   /// numbered from `base` + 1; `total` is the staged count over all shards.
   void apply_staged_transfers(std::uint64_t step, std::uint64_t base,
                               std::uint64_t total);
-  void apply_transfer(const Message& m);
+  /// Appends a kTransfer's or kScatter's `tasks` to the recipient m.b's
+  /// queue (a transfer also books them as received).
+  void apply_tasks(const Message& m, std::span<const RtTask> tasks);
 
   [[nodiscard]] RtProcessor& proc(std::uint64_t p) {
     CLB_DCHECK(p >= begin && p < end, "processor outside the owned shard");
@@ -145,13 +157,14 @@ class ShardCore {
     std::uint32_t proc = 0;
     std::uint32_t root = 0;
     std::uint32_t targets[kMaxA] = {};
+    // The first accept_count entries, in acceptance order (round, then j).
+    std::uint32_t accepted[kMaxA] = {};
     std::uint32_t accepted_mask = 0;
     std::uint32_t accept_count = 0;
     std::uint32_t round_replies = 0;
     bool active = false;
     std::uint8_t pending_children = 0;
     std::uint8_t status_nonapp = 0;
-    std::vector<std::uint32_t> accepted;  // acceptance order (round, then j)
   };
 
   /// A forwarding parent's contribution to the next level; the replicated
@@ -198,7 +211,7 @@ class ShardCore {
   std::uint64_t round_epoch = 0;
   std::uint64_t phase_count = 0;
   std::uint64_t sys_load = 0;  // total system load at start of current step
-  std::vector<Message*> batch;
+  std::vector<Message> batch;
   std::vector<Node> nodes, next_nodes;
   std::vector<std::uint32_t> heavy_local;
   std::vector<ScanEntry> scan;
@@ -246,9 +259,13 @@ class ShardCore {
   ShardMap map_;
   std::chrono::steady_clock::time_point epoch_;
   // Reused across phases and levels (hot loops do not allocate): the
-  // classification / staged-count blob and the scan merge's cursors.
+  // classification / staged-count blob, the scan merge's cursors and the
+  // tasks of the transfer being sent.
   std::vector<std::uint64_t> blob_;
   std::vector<std::size_t> scan_pos_;
+  std::vector<RtTask> transfer_tasks_;
 };
+
+static_assert(std::is_trivially_copyable_v<ShardCore::Node>);
 
 }  // namespace clb::rt

@@ -234,8 +234,10 @@ class ShardEngine final : public rt::ShardCore {
   /// kShutdown arrives.
   void serve();
 
-  void send(std::uint32_t dest_proc, rt::Message* m) override;
-  void drain(std::vector<rt::Message*>& out) override;
+  using rt::ShardCore::send;
+  void send(std::uint32_t dest_proc, const rt::Message& m,
+            std::span<const rt::RtTask> tasks) override;
+  void drain(std::vector<rt::Message>& out) override;
   /// Flushes the peer batches (threshold policy), sends kBarrier with
   /// `blob`, blocks on kRelease and returns all shards' blobs.
   const rt::Blobs& allgather(std::span<const std::uint64_t> blob) override;
@@ -255,7 +257,12 @@ class ShardEngine final : public rt::ShardCore {
   std::vector<PeerChannel> peers_;
   const bool flush_data_;          // threshold policy keeps a data plane
   std::uint64_t data_rounds_ = 0;  // flushing barriers passed so far
-  std::vector<rt::Message*> self_pending_;
+  // Messages to this shard's own processors, with the tasks they carry
+  // in send order.
+  std::vector<rt::Message> self_pending_;
+  std::vector<rt::RtTask> self_tasks_;
+  std::vector<rt::RtTask> rx_tasks_;  // the tasks of the message decoded last
+  std::vector<rt::RtTask> corrupted_;  // corrupt_transfer_frame's victim
   std::vector<std::vector<std::uint64_t>> blobs_;
   rt::Blobs views_;
   std::uint64_t step_base_ = 0;
@@ -398,40 +405,48 @@ const rt::Blobs& ShardEngine::allgather(std::span<const std::uint64_t> blob) {
   return views_;
 }
 
-void ShardEngine::send(std::uint32_t dest_proc, rt::Message* m) {
+void ShardEngine::send(std::uint32_t dest_proc, const rt::Message& m,
+                       std::span<const rt::RtTask> tasks) {
   const unsigned owner = owner_of(dest_proc);
   if (owner == index) {
     self_pending_.push_back(m);
+    self_pending_.back().task_count = static_cast<std::uint32_t>(tasks.size());
+    self_tasks_.insert(self_tasks_.end(), tasks.begin(), tasks.end());
     return;
   }
-  if (m->kind == rt::MsgKind::kTransfer) {
+  if (m.kind == rt::MsgKind::kTransfer) {
     ++transfers_serialised_;
-    if (transfers_serialised_ == corrupt_transfer_frame_ &&
-        !m->payload.empty()) {
+    if (transfers_serialised_ == corrupt_transfer_frame_ && !tasks.empty()) {
       // The frame-corrupt mutation: flipped BEFORE the frame is signed, so
       // the CRC vouches for the corrupted bytes and every counter stays
       // self-consistent. Only the shadow fabric can tell.
-      m->payload[0].task.birth_step ^= 1u;
+      corrupted_.assign(tasks.begin(), tasks.end());
+      corrupted_[0].task.birth_step ^= 1u;
+      tasks = corrupted_;
     }
   }
   PeerChannel& ch = peers_[owner];
-  serialize_msg(ch.batch, *m);
+  serialize_msg(ch.batch, m, tasks);
   ++ch.batch_count;
-  delete m;
 }
 
-void ShardEngine::drain(std::vector<rt::Message*>& out) {
+void ShardEngine::drain(std::vector<rt::Message>& out) {
   out.clear();
-  const auto take = [&](rt::Message* m) {
-    if (m->kind == rt::MsgKind::kTransfer) {
-      apply_transfer(*m);
-      delete m;
+  const auto take = [&](const rt::Message& m,
+                        std::span<const rt::RtTask> tasks) {
+    if (rt::carries_tasks(m.kind)) {
+      apply_tasks(m, tasks);
     } else {
       out.push_back(m);
     }
   };
-  for (rt::Message* m : self_pending_) take(m);
+  std::size_t first_task = 0;
+  for (const rt::Message& m : self_pending_) {
+    take(m, std::span(self_tasks_).subspan(first_task, m.task_count));
+    first_task += m.task_count;
+  }
   self_pending_.clear();
+  self_tasks_.clear();
   for (unsigned i = 0; i < cfg.workers; ++i) {
     if (i == index) continue;
     PeerChannel& ch = peers_[i];
@@ -442,7 +457,8 @@ void ShardEngine::drain(std::vector<rt::Message*>& out) {
       Reader r(f.payload);
       const std::uint32_t count = r.u32();
       for (std::uint32_t k = 0; k < count; ++k) {
-        take(deserialize_msg(r).release());
+        const rt::Message m = deserialize_msg(r, rx_tasks_);
+        take(m, rx_tasks_);
       }
       CLB_CHECK(r.exhausted(), "transport: trailing bytes in a kBatch frame");
       ++ch.batches_consumed;

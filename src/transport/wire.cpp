@@ -61,29 +61,30 @@ rt::RtTask deserialize_task(Reader& r) {
   return t;
 }
 
-void serialize_msg(Writer& w, const rt::Message& m) {
+void serialize_msg(Writer& w, const rt::Message& m,
+                   std::span<const rt::RtTask> tasks) {
   w.u8(static_cast<std::uint8_t>(m.kind));
   w.u64(m.key);
   w.u32(m.a);
   w.u32(m.b);
   w.u32(m.c);
   w.seq_key(m.seq);
-  w.u32(static_cast<std::uint32_t>(m.payload.size()));
-  for (const rt::RtTask& t : m.payload) serialize_task(w, t);
+  w.u32(static_cast<std::uint32_t>(tasks.size()));
+  for (const rt::RtTask& t : tasks) serialize_task(w, t);
 }
 
-std::unique_ptr<rt::Message> deserialize_msg(Reader& r) {
-  auto m = std::make_unique<rt::Message>();
-  m->kind = static_cast<rt::MsgKind>(r.u8());
-  m->key = r.u64();
-  m->a = r.u32();
-  m->b = r.u32();
-  m->c = r.u32();
-  m->seq = r.seq_key();
-  const std::uint32_t count = r.u32();
-  m->payload.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    m->payload.push_back(deserialize_task(r));
+rt::Message deserialize_msg(Reader& r, std::vector<rt::RtTask>& tasks) {
+  rt::Message m;
+  m.kind = static_cast<rt::MsgKind>(r.u8());
+  m.key = r.u64();
+  m.a = r.u32();
+  m.b = r.u32();
+  m.c = r.u32();
+  m.seq = r.seq_key();
+  m.task_count = r.u32();
+  tasks.clear();
+  for (std::uint32_t i = 0; i < m.task_count; ++i) {
+    tasks.push_back(deserialize_task(r));
   }
   return m;
 }

@@ -8,13 +8,14 @@
 #include <bit>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/params.hpp"
 #include "collision/collision.hpp"
 #include "models/burst.hpp"
 #include "net/wire.hpp"
-#include "rt/mailbox.hpp"
+#include "rt/message.hpp"
 #include "sim/model.hpp"
 #include "util/check.hpp"
 
@@ -106,12 +107,16 @@ struct ModelSpec {
   [[nodiscard]] static ModelSpec deserialize(Reader& r);
 };
 
-/// One rt::Message on the wire: kind, key, a/b/c and the payload tasks.
-/// The fabric SeqKey rides along so the codec is complete for
-/// latency-fabric vocabularies even though the instant schedule leaves it
-/// zero; the intrusive link and the latency-mode endpoints do not.
-void serialize_msg(Writer& w, const rt::Message& m);
-[[nodiscard]] std::unique_ptr<rt::Message> deserialize_msg(Reader& r);
+/// One rt::Message on the wire: kind, key, a/b/c, then the tasks it
+/// carries (a u32 count and the tasks). The fabric SeqKey rides along so
+/// the codec is complete for latency-fabric vocabularies even though the
+/// instant schedule leaves it zero; the latency-mode endpoints do not.
+void serialize_msg(Writer& w, const rt::Message& m,
+                   std::span<const rt::RtTask> tasks);
+/// Decodes one message; its tasks replace the contents of `tasks` (and
+/// set its task_count).
+[[nodiscard]] rt::Message deserialize_msg(Reader& r,
+                                          std::vector<rt::RtTask>& tasks);
 
 void serialize_task(Writer& w, const rt::RtTask& t);
 [[nodiscard]] rt::RtTask deserialize_task(Reader& r);

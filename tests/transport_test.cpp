@@ -210,31 +210,49 @@ TEST(FrameReaderTest, FirstFrameMustBeSeqOne) {
 // ---------------------------------------------------------------------------
 
 TEST(PayloadCodec, MsgRoundTrip) {
+  // A kTransfer and the tasks it carries, then a task-free message: the
+  // decoder hands back values and replaces the task vector per message.
   rt::Message m;
   m.kind = rt::MsgKind::kTransfer;
   m.key = 0x1234567890ABCDEFull;
   m.a = 17;
   m.b = 91;
   m.c = 3;
-  m.payload.push_back(rt::RtTask{sim::Task{12, 17, 1}, 400});
-  m.payload.push_back(rt::RtTask{sim::Task{13, 18, 2}, 500});
+  m.seq = net::SeqKey{7, net::SendStage::kEvaluate, 0xABCDull << 32, 5};
+  const std::vector<rt::RtTask> tasks = {rt::RtTask{sim::Task{12, 17, 1}, 400},
+                                         rt::RtTask{sim::Task{13, 18, 2}, 500}};
+  rt::Message query;
+  query.kind = rt::MsgKind::kQuery;
+  query.key = 42;
+  query.a = 5;
 
   Writer w;
-  serialize_msg(w, m);
+  serialize_msg(w, m, tasks);
+  serialize_msg(w, query, {});
   Reader r(w.data());
-  const std::unique_ptr<rt::Message> decoded = deserialize_msg(r);
-  const rt::Message& back = *decoded;
-  EXPECT_TRUE(r.exhausted());
+  std::vector<rt::RtTask> got;
+  const rt::Message back = deserialize_msg(r, got);
   EXPECT_EQ(back.kind, m.kind);
   EXPECT_EQ(back.key, m.key);
   EXPECT_EQ(back.a, m.a);
   EXPECT_EQ(back.b, m.b);
   EXPECT_EQ(back.c, m.c);
-  ASSERT_EQ(back.payload.size(), 2u);
-  EXPECT_EQ(back.payload[0].task.birth_step, 12u);
-  EXPECT_EQ(back.payload[0].task.origin, 17u);
-  EXPECT_EQ(back.payload[0].birth_us, 400u);
-  EXPECT_EQ(back.payload[1].task.weight, 2u);
+  EXPECT_EQ(back.seq, m.seq);
+  EXPECT_EQ(back.task_count, 2u);
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_EQ(got[0].task.birth_step, 12u);
+  EXPECT_EQ(got[0].task.origin, 17u);
+  EXPECT_EQ(got[0].birth_us, 400u);
+  EXPECT_EQ(got[1].task.weight, 2u);
+  EXPECT_EQ(got[1].birth_us, 500u);
+
+  const rt::Message back_query = deserialize_msg(r, got);
+  EXPECT_TRUE(r.exhausted());
+  EXPECT_EQ(back_query.kind, rt::MsgKind::kQuery);
+  EXPECT_EQ(back_query.key, 42u);
+  EXPECT_EQ(back_query.a, 5u);
+  EXPECT_EQ(back_query.task_count, 0u);
+  EXPECT_TRUE(got.empty());
 }
 
 TEST(PayloadCodec, ShardRunConfigRoundTrip) {
