@@ -1,6 +1,7 @@
 // Per-link wire gauges for socket-backed transports: byte/frame counts per
-// direction plus the control-plane round-trip histogram (microseconds from
-// barrier send to release receipt — the cross-process analogue of the
+// direction plus the barrier crossings and their round-trip histogram,
+// measured at each shard (microseconds from the flush of its kBatch frames
+// to the last peer frame received — the cross-process analogue of the
 // in-proc barrier stall). export_wire_stats() lays them into a
 // MetricsRegistry under a caller prefix so bench harnesses and the EXP-26
 // report read one vocabulary regardless of transport.
@@ -19,7 +20,8 @@ struct WireStats {
   std::uint64_t bytes_received = 0;
   std::uint64_t frames_sent = 0;
   std::uint64_t frames_received = 0;
-  std::uint64_t barriers = 0;
+  std::uint64_t barriers = 0;  ///< allgather crossings, counted per shard
+  /// Per crossing, µs from the shard's kBatch flush to the last peer frame.
   stats::IntHistogram barrier_rtt_us;
 
   void merge(const WireStats& o) {

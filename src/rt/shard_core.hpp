@@ -33,10 +33,10 @@
 //
 // rt::Runtime implements it with per-(sender, destination) outboxes
 // (rt/outbox.hpp) and util::PhaseBarrier, its drains exact by the counts
-// each sender seals at every crossing; the transport with per-peer kBatch
-// frames and the coordinator barrier, its drains exact by counting one
-// batch per peer per barrier. Both cross the same schedule: per step one
-// closing reduction, per phase one classification reduction, per
+// each sender seals at every crossing; the transport with one kBatch frame
+// per peer per crossing, carrying the blob and the messages, whose arrival
+// from every peer is the barrier. Both cross the same schedule: per step
+// one closing reduction, per phase one classification reduction, per
 // collision round 3 allgathers, per tree level 5.
 //
 // Determinism contract (RtConfig::deterministic): drained batches whose

@@ -137,6 +137,12 @@ void arm_mutation(const Scenario& s, CaptureBalancer& cap, bool* applied) {
         // run_rt_scenario (rt_oracle.cpp), so the engine hook never sees
         // them.
         break;
+      case MutationKind::kDelaySkew:
+      case MutationKind::kLinkLossNoRetransmit:
+      case MutationKind::kDupDelivery:
+      case MutationKind::kStealDuplicateTask:
+        // Applied inside rt_oracle.cpp / fuzzer.cpp, not by an engine hook.
+        break;
     }
   });
 }

@@ -79,6 +79,12 @@ void Endpoint::send_frame(FrameType type, const std::uint8_t* payload,
 }
 
 Frame Endpoint::recv_frame() {
+  std::optional<Frame> f = try_recv_frame();
+  CLB_CHECK(f.has_value(), "transport: peer closed the connection mid-stream");
+  return std::move(*f);
+}
+
+std::optional<Frame> Endpoint::try_recv_frame() {
   CLB_CHECK(fd_ >= 0, "transport: recv on a closed endpoint");
   Frame f;
   for (;;) {
@@ -96,7 +102,7 @@ Frame Endpoint::recv_frame() {
       if (errno == EINTR) continue;
       CLB_CHECK(false, "transport: socket read failed");
     }
-    CLB_CHECK(r != 0, "transport: peer closed the connection mid-stream");
+    if (r == 0) return std::nullopt;
     bytes_received_ += static_cast<std::uint64_t>(r);
     reader_.feed(buf, static_cast<std::size_t>(r));
   }

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -52,6 +53,9 @@ class Endpoint {
   /// Blocking read of the next frame. Aborts on EOF (peer died) and on any
   /// codec or sequence violation.
   [[nodiscard]] Frame recv_frame();
+  /// As recv_frame(), but returns nullopt once the peer has closed the
+  /// link, so the caller can clean up before it fails.
+  [[nodiscard]] std::optional<Frame> try_recv_frame();
 
   /// Byte/frame accounting for the wire gauges (RTT histograms are kept by
   /// the layer that knows what a round trip is).

@@ -20,6 +20,15 @@
 // duplicate or out-of-order sequence number. A transport that silently
 // resynchronised would let exactly the corruption the shadow-fabric
 // cross-check exists to catch slip through as "noise".
+//
+// Two planes share the codec. A shard's control link to the coordinator
+// carries commands (kConfig, kRun, kDeposit, kCollect, kShutdown) and their
+// answers (kConfigAck, kDone, kState) — nothing per superstep. The data
+// links between shards carry one kBatch per peer per allgather crossing,
+// payload [u32 blob_len, u64 blob..., u64 crossing ordinal, u32 msg_count,
+// messages...], and one kRunEnd mark, payload [u64 crossings], per peer
+// after each run command. Version 2 is this layout; version 1 crossed a
+// barrier through the coordinator (types 8 and 9, now unused).
 #pragma once
 
 #include <cstddef>
@@ -30,7 +39,7 @@
 namespace clb::transport {
 
 inline constexpr std::uint32_t kFrameMagic = 0x46424C43u;  // "CLBF"
-inline constexpr std::uint8_t kWireVersion = 1;
+inline constexpr std::uint8_t kWireVersion = 2;
 inline constexpr std::size_t kFrameHeaderSize = 24;
 /// Safety valve against garbage length fields; generous for any batch the
 /// protocol can produce (transfers are T/4 tasks of 16 bytes each).
@@ -44,10 +53,10 @@ enum class FrameType : std::uint8_t {
   kCollect = 5,   ///< coordinator -> worker: ship final state
   kState = 6,     ///< worker -> coordinator: serialized shard state
   kShutdown = 7,  ///< coordinator -> worker: exit cleanly
-  kBarrier = 8,   ///< worker -> coordinator: superstep barrier + blob
-  kRelease = 9,   ///< coordinator -> worker: barrier release + all blobs
+  // 8 and 9 are retired (the coordinator barrier of wire version 1).
   kDone = 10,     ///< worker -> coordinator: run command finished
-  kBatch = 11,    ///< worker -> worker: one superstep's protocol messages
+  kBatch = 11,    ///< worker -> worker: one crossing's blob + messages
+  kRunEnd = 12,   ///< worker -> worker: end-of-run mark + crossing count
 };
 
 struct Frame {

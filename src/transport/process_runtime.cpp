@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
+#include <string>
 
 #include "util/check.hpp"
 #include "util/thread_pool.hpp"
@@ -134,32 +136,46 @@ void ProcessRuntime::run(std::uint64_t steps) {
   w.u64(steps);
   for (Endpoint& c : ctl_) c.send_frame(FrameType::kRun, w.data());
 
-  // Barrier service: every child hits the same superstep schedule, so the
-  // coordinator sees homogeneous waves — W kBarrier frames (answered with
-  // one kRelease concatenating all blobs) until the W kDone frames land.
-  std::vector<Frame> wave(cfg_.workers);
-  for (;;) {
-    for (unsigned i = 0; i < cfg_.workers; ++i) {
-      wave[i] = ctl_[i].recv_frame();
-      CLB_CHECK(wave[i].type == wave[0].type,
-                "transport: superstep schedule divergence across workers");
-    }
-    if (wave[0].type == FrameType::kDone) break;
-    CLB_CHECK(wave[0].type == FrameType::kBarrier,
-              "transport: unexpected frame in the barrier service loop");
-    Writer release;
-    for (const Frame& f : wave) {
-      release.bytes(f.payload.data(), f.payload.size());
-    }
-    for (Endpoint& c : ctl_) {
-      c.send_frame(FrameType::kRelease, release.data());
-    }
+  for (unsigned i = 0; i < cfg_.workers; ++i) {
+    const std::optional<Frame> f = ctl_[i].try_recv_frame();
+    if (!f) fail_run(i);
+    CLB_CHECK(f->type == FrameType::kDone,
+              "transport: expected kDone from a shard worker");
   }
   wall_seconds_ +=
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
   step_base_ += steps;
   log_.push_back(Command{Command::Kind::kRun, steps, 0, {}});
+}
+
+void ProcessRuntime::fail_run(unsigned shard) {
+  // The shard that saw the fault printed why before it aborted. Closing
+  // the control links ends every shard still waiting for a command, and a
+  // dead shard's data links end the peers waiting on it, so every waitpid
+  // below returns.
+  for (Endpoint& c : ctl_) c.close_fd();
+  std::string msg = "transport: shard " + std::to_string(shard) +
+                    " died during run(); reaped every shard:";
+  for (std::size_t i = 0; i < pids_.size(); ++i) {
+    if (pids_[i] < 0) continue;
+    int status = 0;
+    const pid_t r = ::waitpid(pids_[i], &status, 0);
+    pids_[i] = -1;
+    msg += ' ';
+    msg += std::to_string(i);
+    if (r < 0) {
+      msg += "=lost";
+    } else if (WIFSIGNALED(status)) {
+      msg += "=signal ";
+      msg += std::to_string(WTERMSIG(status));
+    } else {
+      msg += "=exit ";
+      msg += std::to_string(WEXITSTATUS(status));
+    }
+  }
+  util::check_failed("every shard finished the run", __FILE__, __LINE__,
+                     msg.c_str());
 }
 
 void ProcessRuntime::deposit(std::uint32_t p, sim::Task t) {
@@ -202,7 +218,9 @@ void ProcessRuntime::collect() {
     ledger_.insert(ledger_.end(), st.ledger.begin(), st.ledger.end());
     sojourn_steps_.merge(st.sojourn_steps);
     sojourn_us_.merge(st.sojourn_us);
-    wire_stats_.merge(st.wire);
+    wire_stats_.merge(st.data_wire);
+    wire_stats_.merge(st.control_wire);
+    shard_wire_.push_back(ShardWire{st.data_wire, ctl_[i].frames_received()});
     shard_epochs_.push_back(std::chrono::steady_clock::time_point(
         std::chrono::steady_clock::duration(st.epoch_ticks)));
     if (i == 0) {
@@ -298,6 +316,11 @@ std::uint64_t ProcessRuntime::deposited() {
 const obs::WireStats& ProcessRuntime::wire_stats() {
   collect();
   return wire_stats_;
+}
+
+const std::vector<ProcessRuntime::ShardWire>& ProcessRuntime::shard_wire() {
+  collect();
+  return shard_wire_;
 }
 
 const std::vector<std::chrono::steady_clock::time_point>&

@@ -2,10 +2,11 @@
 // runtime: forks one OS process per shard, wires a full data-plane mesh plus
 // one control link per child BEFORE forking (children inherit connected
 // sockets and never dial), distributes the run configuration in a kConfig
-// handshake, services the superstep barrier as explicit control-plane
-// messages (kBarrier in, kRelease with every worker's reduction blob out —
-// the cross-process PhaseBarrier), and collects ledgers, counters, queues
-// and phase logs at kCollect.
+// handshake, issues run and deposit commands, and collects ledgers,
+// counters, queues and phase logs at kCollect. It is on the command path
+// only: the shards cross their superstep barriers among themselves, one
+// kBatch frame per peer per crossing (transport/shard_engine.hpp), and a
+// run command ends when every shard has sent kDone.
 //
 // The public surface mirrors rt::Runtime's inspection API so harnesses can
 // swap transports without changing their measurement code, and every
@@ -62,8 +63,9 @@ class ProcessRuntime {
   ProcessRuntime(const ProcessRuntime&) = delete;
   ProcessRuntime& operator=(const ProcessRuntime&) = delete;
 
-  /// Executes `steps` on all shard processes, servicing their barriers
-  /// until every child reports kDone. Callable repeatedly.
+  /// Executes `steps` on all shard processes and waits until every child
+  /// reports kDone. Callable repeatedly. If a shard dies instead, every
+  /// child is reaped and the coordinator aborts naming their exit statuses.
   void run(std::uint64_t steps);
 
   /// Appends a task to p's queue (routed to the owning child). Mirrors
@@ -98,6 +100,15 @@ class ProcessRuntime {
   /// Wire accounting merged over every child's links (bytes, frames,
   /// barrier count, barrier RTT histogram).
   [[nodiscard]] const obs::WireStats& wire_stats();
+  /// One shard's frame bill: its data links as it reported them (with its
+  /// crossings) and the frames the coordinator received on its control
+  /// link, kState included.
+  struct ShardWire {
+    obs::WireStats data;
+    std::uint64_t control_frames = 0;
+  };
+  /// Per-shard frame bills, in shard order.
+  [[nodiscard]] const std::vector<ShardWire>& shard_wire();
   /// Wall-clock seconds spent inside run() so far.
   [[nodiscard]] double wall_seconds() const { return wall_seconds_; }
   /// The zero of every shard's wall-clock sojourn stamps, taken before the
@@ -116,6 +127,9 @@ class ProcessRuntime {
 
  private:
   void spawn();
+  /// A shard died during run(): closes every control link, reaps every
+  /// child and aborts.
+  [[noreturn]] void fail_run(unsigned shard);
 
   ShardRunConfig cfg_;
   WireKind wire_ = WireKind::kUds;
@@ -139,6 +153,7 @@ class ProcessRuntime {
   std::uint64_t running_max_ = 0;
   std::vector<rt::RtPhaseSummary> phases_;
   obs::WireStats wire_stats_;
+  std::vector<ShardWire> shard_wire_;
   std::vector<std::chrono::steady_clock::time_point> shard_epochs_;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <string>
 
 #include "rt/shard_core.hpp"
 #include "util/check.hpp"
@@ -38,6 +39,26 @@ stats::IntHistogram deserialize_hist(Reader& r) {
   return h;
 }
 
+void serialize_wire(Writer& w, const obs::WireStats& s) {
+  w.u64(s.bytes_sent);
+  w.u64(s.bytes_received);
+  w.u64(s.frames_sent);
+  w.u64(s.frames_received);
+  w.u64(s.barriers);
+  serialize_hist(w, s.barrier_rtt_us);
+}
+
+obs::WireStats deserialize_wire(Reader& r) {
+  obs::WireStats s;
+  s.bytes_sent = r.u64();
+  s.bytes_received = r.u64();
+  s.frames_sent = r.u64();
+  s.frames_received = r.u64();
+  s.barriers = r.u64();
+  s.barrier_rtt_us = deserialize_hist(r);
+  return s;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -57,6 +78,7 @@ void ShardRunConfig::serialize(Writer& w) const {
   w.u8(track_sojourn ? 1 : 0);
   w.u8(time_sojourn ? 1 : 0);
   w.u64(corrupt_transfer_frame);
+  w.u64(extra_crossing_step);
   model.serialize(w);
 }
 
@@ -89,6 +111,7 @@ ShardRunConfig ShardRunConfig::deserialize(Reader& r) {
   c.track_sojourn = r.u8() != 0;
   c.time_sojourn = r.u8() != 0;
   c.corrupt_transfer_frame = r.u64();
+  c.extra_crossing_step = r.u64();
   c.model = ModelSpec::deserialize(r);
   return c;
 }
@@ -143,12 +166,8 @@ void ShardState::serialize(Writer& w) const {
     w.u32(static_cast<std::uint32_t>(ps.heavy_procs.size()));
     for (const std::uint32_t h : ps.heavy_procs) w.u32(h);
   }
-  w.u64(wire.bytes_sent);
-  w.u64(wire.bytes_received);
-  w.u64(wire.frames_sent);
-  w.u64(wire.frames_received);
-  w.u64(wire.barriers);
-  serialize_hist(w, wire.barrier_rtt_us);
+  serialize_wire(w, data_wire);
+  serialize_wire(w, control_wire);
 }
 
 ShardState ShardState::deserialize(Reader& r) {
@@ -208,15 +227,10 @@ ShardState ShardState::deserialize(Reader& r) {
     ps.heavy_procs.resize(nh);
     for (std::uint32_t& h : ps.heavy_procs) h = r.u32();
   }
-  s.wire.bytes_sent = r.u64();
-  s.wire.bytes_received = r.u64();
-  s.wire.frames_sent = r.u64();
-  s.wire.frames_received = r.u64();
-  s.wire.barriers = r.u64();
-  s.wire.barrier_rtt_us = deserialize_hist(r);
+  s.data_wire = deserialize_wire(r);
+  s.control_wire = deserialize_wire(r);
   return s;
 }
-
 
 // ---------------------------------------------------------------------------
 // ShardEngine: the socket side of the shard core's exchange seam
@@ -238,25 +252,36 @@ class ShardEngine final : public rt::ShardCore {
   void send(std::uint32_t dest_proc, const rt::Message& m,
             std::span<const rt::RtTask> tasks) override;
   void drain(std::vector<rt::Message>& out) override;
-  /// Flushes the peer batches (threshold policy), sends kBarrier with
-  /// `blob`, blocks on kRelease and returns all shards' blobs.
+  /// Sends each peer one kBatch (blob, crossing ordinal, pending batch),
+  /// receives one from each and returns all shards' blobs.
   const rt::Blobs& allgather(std::span<const std::uint64_t> blob) override;
 
  private:
+  /// A received kBatch with messages for the next drain(); `at` is the
+  /// offset of its u32 message count.
+  struct Inbound {
+    Frame frame;
+    std::size_t at = 0;
+  };
   struct PeerChannel {
     Endpoint ep;
-    Writer batch;  // messages accumulated this superstep
+    Writer batch;  // messages sent to this peer since the last allgather
     std::uint32_t batch_count = 0;
-    std::uint64_t batches_consumed = 0;
+    std::vector<Inbound> inbox;  // oldest first
   };
 
+  /// Sends each peer this shard's end-of-run mark and checks theirs.
+  void end_run();
+  /// Aborts: `what` arrived from `peer` where this shard's schedule has
+  /// something else.
+  [[noreturn]] void diverged(unsigned peer, const std::string& what) const;
   void collect_state();
 
   std::vector<rt::RtProcessor> shard_;  // the core's processors
   Endpoint control_;
   std::vector<PeerChannel> peers_;
-  const bool flush_data_;          // threshold policy keeps a data plane
-  std::uint64_t data_rounds_ = 0;  // flushing barriers passed so far
+  std::uint64_t crossings_ = 0;  // allgathers crossed so far
+  Writer out_;                   // the data-link payload being assembled
   // Messages to this shard's own processors, with the tasks they carry
   // in send order.
   std::vector<rt::Message> self_pending_;
@@ -269,7 +294,8 @@ class ShardEngine final : public rt::ShardCore {
   std::uint64_t deposited_ = 0;
   const std::uint64_t corrupt_transfer_frame_;
   std::uint64_t transfers_serialised_ = 0;
-  obs::WireStats wire_;
+  const std::uint64_t extra_crossing_step_;  // 0 but on the last shard
+  obs::WireStats wire_;  // barriers and their RTTs
 };
 
 ShardEngine::ShardEngine(const ShardRunConfig& run, sim::LoadModel& load_model,
@@ -277,9 +303,11 @@ ShardEngine::ShardEngine(const ShardRunConfig& run, sim::LoadModel& load_model,
                          std::chrono::steady_clock::time_point epoch)
     : rt::ShardCore(run.rt_config(), load_model, run.index, epoch),
       control_(std::move(control)),
-      flush_data_(run.policy == rt::RtPolicy::kThreshold),
       blobs_(run.workers),
-      corrupt_transfer_frame_(run.corrupt_transfer_frame) {
+      corrupt_transfer_frame_(run.corrupt_transfer_frame),
+      extra_crossing_step_(run.index + 1 == run.workers
+                               ? run.extra_crossing_step
+                               : 0) {
   CLB_CHECK(cfg.policy == rt::RtPolicy::kThreshold ||
                 cfg.policy == rt::RtPolicy::kNone,
             "the cross-process transport runs policies none and threshold");
@@ -309,8 +337,12 @@ void ShardEngine::serve() {
         Reader r(f.payload);
         const std::uint64_t steps = r.u64();
         CLB_CHECK(r.exhausted(), "transport: malformed kRun payload");
-        for (std::uint64_t s = 0; s < steps; ++s) step_once(step_base_ + s);
+        for (std::uint64_t s = 0; s < steps; ++s) {
+          step_once(step_base_ + s);
+          if (step_base_ + s + 1 == extra_crossing_step_) allgather({});
+        }
         step_base_ += steps;
+        end_run();
         control_.send_frame(FrameType::kDone, nullptr, 0);
         break;
       }
@@ -351,58 +383,117 @@ void ShardEngine::collect_state() {
   st.epoch_ticks = epoch().time_since_epoch().count();
   st.running_max = running_max;
   st.phases = phases;
-  st.wire = wire_;
-  control_.account_into(st.wire);
+  st.data_wire = wire_;
   for (const PeerChannel& ch : peers_) {
-    if (ch.ep.valid()) ch.ep.account_into(st.wire);
+    if (ch.ep.valid()) ch.ep.account_into(st.data_wire);
   }
+  control_.account_into(st.control_wire);
   Writer w;
   st.serialize(w);
   shard_ = std::move(st.procs);  // same buffer, so `procs` stays valid
   control_.send_frame(FrameType::kState, w.data());
 }
 
+void ShardEngine::diverged(unsigned peer, const std::string& what) const {
+  const std::string text =
+      "transport: superstep schedules diverge: shard " +
+      std::to_string(index) + " at crossing " + std::to_string(crossings_) +
+      " received from shard " + std::to_string(peer) + " " + what;
+  util::check_failed("the shards cross one schedule", __FILE__, __LINE__,
+                     text.c_str());
+}
+
 const rt::Blobs& ShardEngine::allgather(std::span<const std::uint64_t> blob) {
-  if (flush_data_) {
-    // Exactly one kBatch frame per peer per flushing barrier — possibly
-    // empty. The receiver counts batches, not messages, so a drain knows
-    // when it has everything (see drain()).
-    for (unsigned i = 0; i < cfg.workers; ++i) {
-      if (i == index) continue;
-      PeerChannel& ch = peers_[i];
-      Writer payload;
-      payload.u32(ch.batch_count);
-      payload.bytes(ch.batch.data().data(), ch.batch.size());
-      ch.ep.send_frame(FrameType::kBatch, payload.data());
-      ch.batch = Writer();
-      ch.batch_count = 0;
-    }
-    ++data_rounds_;
-  }
-  Writer w;
-  w.u32(static_cast<std::uint32_t>(blob.size()));
-  for (const std::uint64_t v : blob) w.u64(v);
+  ++crossings_;
   const auto t0 = std::chrono::steady_clock::now();
-  control_.send_frame(FrameType::kBarrier, w.data());
-  Frame f = control_.recv_frame();
-  CLB_CHECK(f.type == FrameType::kRelease,
-            "transport: expected kRelease at a barrier");
+  // Exactly one kBatch per peer per crossing, whatever the policy:
+  // [u32 blob_len, u64 blob..., u64 crossing, u32 msg_count, messages...].
+  for (unsigned i = 0; i < cfg.workers; ++i) {
+    if (i == index) continue;
+    PeerChannel& ch = peers_[i];
+    out_.clear();
+    out_.u32(static_cast<std::uint32_t>(blob.size()));
+    for (const std::uint64_t v : blob) out_.u64(v);
+    out_.u64(crossings_);
+    out_.u32(ch.batch_count);
+    out_.bytes(ch.batch.data().data(), ch.batch.size());
+    ch.ep.send_frame(FrameType::kBatch, out_.data());
+    ch.batch.clear();
+    ch.batch_count = 0;
+  }
+  // One frame from every peer is the barrier: each carries all that peer
+  // sent here since its previous crossing.
+  views_.clear();
+  for (unsigned i = 0; i < cfg.workers; ++i) {
+    std::vector<std::uint64_t>& b = blobs_[i];
+    if (i == index) {
+      b.assign(blob.begin(), blob.end());
+      views_.emplace_back(b);
+      continue;
+    }
+    Frame f = peers_[i].ep.recv_frame();
+    Reader r(f.payload);
+    if (f.type == FrameType::kRunEnd) {
+      diverged(i, "an end-of-run mark after " + std::to_string(r.u64()) +
+                      " crossings where a kBatch was due");
+    }
+    if (f.type != FrameType::kBatch) {
+      diverged(i, "a frame of type " +
+                      std::to_string(static_cast<unsigned>(f.type)) +
+                      " where a kBatch was due");
+    }
+    const std::uint32_t len = r.u32();
+    CLB_CHECK(len <= r.remaining() / 8,
+              "transport: kBatch blob longer than its frame");
+    b.resize(len);
+    for (std::uint64_t& v : b) v = r.u64();
+    const std::uint64_t ordinal = r.u64();
+    if (ordinal != crossings_) {
+      diverged(i, "a kBatch for crossing " + std::to_string(ordinal));
+    }
+    const std::size_t at = f.payload.size() - r.remaining();
+    if (r.u32() != 0) {
+      peers_[i].inbox.push_back(Inbound{std::move(f), at});
+    } else {
+      CLB_CHECK(r.exhausted(), "transport: trailing bytes in a kBatch frame");
+    }
+    views_.emplace_back(b);
+  }
   const auto rtt = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now() - t0)
           .count());
   wire_.barrier_rtt_us.add(std::min<std::uint64_t>(rtt, 1000000));
   ++wire_.barriers;
-
-  Reader r(f.payload);
-  views_.clear();
-  for (std::vector<std::uint64_t>& b : blobs_) {
-    b.resize(r.u32());
-    for (std::uint64_t& v : b) v = r.u64();
-    views_.emplace_back(b);
-  }
-  CLB_CHECK(r.exhausted(), "transport: trailing bytes in a kRelease payload");
   return views_;
+}
+
+void ShardEngine::end_run() {
+  out_.clear();
+  out_.u64(crossings_);
+  for (unsigned i = 0; i < cfg.workers; ++i) {
+    if (i != index) peers_[i].ep.send_frame(FrameType::kRunEnd, out_.data());
+  }
+  for (unsigned i = 0; i < cfg.workers; ++i) {
+    if (i == index) continue;
+    const Frame f = peers_[i].ep.recv_frame();
+    Reader r(f.payload);
+    if (f.type == FrameType::kBatch) {
+      for (std::uint32_t k = r.u32(); k > 0; --k) (void)r.u64();  // the blob
+      diverged(i, "a kBatch for crossing " + std::to_string(r.u64()) +
+                      " where its end-of-run mark was due");
+    }
+    if (f.type != FrameType::kRunEnd) {
+      diverged(i, "a frame of type " +
+                      std::to_string(static_cast<unsigned>(f.type)) +
+                      " where its end-of-run mark was due");
+    }
+    const std::uint64_t theirs = r.u64();
+    if (theirs != crossings_) {
+      diverged(i, "an end-of-run mark after " + std::to_string(theirs) +
+                      " crossings");
+    }
+  }
 }
 
 void ShardEngine::send(std::uint32_t dest_proc, const rt::Message& m,
@@ -447,22 +538,22 @@ void ShardEngine::drain(std::vector<rt::Message>& out) {
   }
   self_pending_.clear();
   self_tasks_.clear();
+  // The peers' messages up to this shard's last allgather, which received
+  // them: frames without messages were not kept.
   for (unsigned i = 0; i < cfg.workers; ++i) {
     if (i == index) continue;
-    PeerChannel& ch = peers_[i];
-    while (ch.batches_consumed < data_rounds_) {
-      Frame f = ch.ep.recv_frame();
-      CLB_CHECK(f.type == FrameType::kBatch,
-                "transport: expected a kBatch frame on a data link");
-      Reader r(f.payload);
+    std::vector<Inbound>& inbox = peers_[i].inbox;
+    for (const Inbound& in : inbox) {
+      Reader r(in.frame.payload.data() + in.at,
+               in.frame.payload.size() - in.at);
       const std::uint32_t count = r.u32();
       for (std::uint32_t k = 0; k < count; ++k) {
         const rt::Message m = deserialize_msg(r, rx_tasks_);
         take(m, rx_tasks_);
       }
       CLB_CHECK(r.exhausted(), "transport: trailing bytes in a kBatch frame");
-      ++ch.batches_consumed;
     }
+    inbox.clear();
   }
 }
 

@@ -1,16 +1,26 @@
 // The per-process shard engine: one shard process's half of the
 // cross-process runtime. It runs an rt::ShardCore — the same step schedule,
 // protocol and determinism contract as rt::Runtime's worker threads — and
-// implements the core's exchange seam over real sockets:
+// implements the core's exchange seam over the data links, peer to peer:
 //
-//   * send() serialises each message into one per-peer batch, flushed as a
-//     single kBatch frame at every allgather (per-link FIFO order means a
-//     drain that has consumed k batches from a peer has seen every message
-//     that peer sent before its k-th allgather — the superstep quiescence
-//     PhaseBarrier provides in one address space);
-//   * allgather() is an explicit control-plane exchange with the
-//     coordinator: kBarrier carries this shard's blob, kRelease returns all
-//     shards' blobs.
+//   * send() serialises each message into the batch pending for the peer
+//     that owns its destination;
+//   * allgather() sends every peer exactly one kBatch frame — this shard's
+//     blob, its crossing ordinal and the pending batch, possibly empty —
+//     then receives one frame from each peer in shard order. Receiving a
+//     frame from every peer is the barrier: by per-link FIFO each peer has
+//     sent everything it had for this crossing. The peers' blobs are
+//     returned, their messages kept for the next drain();
+//   * drain() decodes what arrived since the last drain: this shard's own
+//     messages first, then the peers in shard order, each in send order.
+//
+// The coordinator is on the command path only. With no one watching every
+// shard's schedule, the data links check it: a frame's crossing ordinal
+// must equal the receiver's, and after each run command every shard sends
+// each peer an end-of-run mark carrying its crossing count and reads
+// theirs. A batch where a mark is due, a mark where a batch is due, or a
+// mismatched count aborts the shard with a message naming it, the peer and
+// the crossing.
 //
 // Every shard stamps wall-clock sojourn against the coordinator's epoch,
 // taken once before the fork: CLOCK_MONOTONIC is system-wide, so a task
@@ -61,6 +71,13 @@ struct ShardRunConfig {
   /// shadow-fabric cross-check (queue identity / sojourn histogram) can
   /// convict it. The frame-corrupt mutation.
   std::uint64_t corrupt_transfer_frame = 0;
+  /// Test-only fault injection: the last shard crosses one extra allgather
+  /// (an empty blob) right after its k-th step (1-based; 0 = off), so its
+  /// schedule runs one crossing ahead of its peers'. The next end-of-run
+  /// mark exchange convicts it; placed mid-run, the crossings in between
+  /// would hand the core blobs of another meaning first, so a test puts k
+  /// at the last step of a run.
+  std::uint64_t extra_crossing_step = 0;
   ModelSpec model{};
 
   /// The rt::RtConfig this shard's core runs under.
@@ -90,7 +107,10 @@ struct ShardState {
   std::int64_t epoch_ticks = 0;
   std::uint64_t running_max = 0;               ///< worker 0 only
   std::vector<rt::RtPhaseSummary> phases;      ///< worker 0 only
-  obs::WireStats wire;
+  /// The data links to the peers, with the crossings and their RTTs.
+  obs::WireStats data_wire;
+  /// The control link to the coordinator, up to the kState frame.
+  obs::WireStats control_wire;
 
   void serialize(Writer& w) const;
   [[nodiscard]] static ShardState deserialize(Reader& r);

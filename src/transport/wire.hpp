@@ -35,6 +35,8 @@ class Writer {
   [[nodiscard]] const std::vector<std::uint8_t>& data() const { return buf_; }
   [[nodiscard]] std::vector<std::uint8_t> take() { return std::move(buf_); }
   [[nodiscard]] std::size_t size() const { return buf_.size(); }
+  /// Empties the buffer and keeps its capacity for the next payload.
+  void clear() { buf_.clear(); }
   /// Direct mutable access, for test-only payload corruption hooks.
   [[nodiscard]] std::vector<std::uint8_t>& raw() { return buf_; }
 

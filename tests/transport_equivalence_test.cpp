@@ -5,8 +5,12 @@
 // (a payload corrupted BEFORE the frame is signed, so the CRC accepts it)
 // must be convicted by the shadow cross-check and by nothing weaker.
 #include <gtest/gtest.h>
+#include <sys/prctl.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <string>
@@ -147,7 +151,7 @@ TEST_P(TransportEquivalence, UdsMatchesShadowForAllShardCounts) {
     EXPECT_FALSE(pr.phases().empty());
 
     // The wire actually carried the run: frames in both planes, one barrier
-    // wave per superstep, RTTs measured.
+    // per shard per crossing, RTTs measured.
     const obs::WireStats& ws = pr.wire_stats();
     EXPECT_GT(ws.bytes_sent, 0u);
     EXPECT_GT(ws.frames_sent, 0u);
@@ -186,17 +190,34 @@ TEST(TransportTcp, MatchesShadow) {
   EXPECT_GT(pr.wire_stats().barriers, 0u);
 }
 
-// kNone policy: no data plane at all (no kBatch frames), only the lockstep
-// barrier; generation/consumption must still match the shadow exactly.
+// kNone policy: no protocol messages, but the data links still carry the
+// lockstep barrier — one blob-only kBatch per peer per crossing (the
+// closing reduction's [load, max, balanced]) and one end-of-run mark per
+// peer per run(); generation/consumption must still match the shadow.
 TEST(TransportNone, UnbalancedMatchesShadow) {
+  const std::uint64_t steps = 64;
   ShardRunConfig cfg = make_cfg(128, 11, 3, WhichModel::kBurst);
   cfg.policy = rt::RtPolicy::kNone;
   ProcessRuntime pr(cfg, WireKind::kUds);
-  pr.run(64);
+  pr.run(steps);
   const ShadowReport rep = shadow_check(pr);
   EXPECT_TRUE(rep.ok) << rep.divergence;
   const sim::MessageCounters m = pr.messages();
   EXPECT_EQ(m.transfers, 0u);
+
+  const std::uint64_t peers = cfg.workers - 1;
+  // [u32 blob_len, 3 x u64 blob, u64 crossing, u32 msg_count = 0].
+  const std::uint64_t batch_bytes = kFrameHeaderSize + 4 + 3 * 8 + 8 + 4;
+  const std::uint64_t mark_bytes = kFrameHeaderSize + 8;
+  ASSERT_EQ(pr.shard_wire().size(), cfg.workers);
+  for (unsigned i = 0; i < cfg.workers; ++i) {
+    SCOPED_TRACE("shard " + std::to_string(i));
+    const obs::WireStats& d = pr.shard_wire()[i].data;
+    EXPECT_EQ(d.barriers, steps);
+    EXPECT_EQ(d.frames_sent, (steps + 1) * peers);
+    EXPECT_EQ(d.bytes_sent, steps * peers * batch_bytes + peers * mark_bytes);
+    EXPECT_EQ(d.frames_received, d.frames_sent);
+  }
 }
 
 // The RtConfig seam: constructing from an rt::RtConfig with
@@ -367,6 +388,37 @@ TEST(BarrierSchedule, PinnedPerStepInProcAndOverUds) {
   EXPECT_EQ(wire_per_shard, kPinnedWireBarriers);
 }
 
+// The wire's frame bill per shard is exact at 2 and 4 shards, so a frame
+// per crossing to or from the coordinator cannot come back unnoticed. On
+// the data links a shard sends each peer one kBatch per crossing plus one
+// end-of-run mark per run(); its control link carries 1 kConfigAck, 1 kDone
+// per run() and 1 kState.
+TEST(BarrierSchedule, ExactFramesPerShardOverUds) {
+  const std::uint64_t n = 192;
+  const std::uint64_t steps = 48;
+  const std::uint64_t seed = 1;
+  for (const std::uint32_t shards : {2u, 4u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    ProcessRuntime uds(make_cfg(n, seed, shards, WhichModel::kSingle),
+                       WireKind::kUds);
+    drive(uds, steps, seed, n);
+    const std::uint64_t runs = static_cast<std::uint64_t>(std::count_if(
+        uds.command_log().begin(), uds.command_log().end(),
+        [](const Command& c) { return c.kind == Command::Kind::kRun; }));
+    ASSERT_EQ(runs, 4u);
+    ASSERT_EQ(uds.shard_wire().size(), shards);
+    for (unsigned i = 0; i < shards; ++i) {
+      SCOPED_TRACE("shard " + std::to_string(i));
+      const ProcessRuntime::ShardWire& sw = uds.shard_wire()[i];
+      EXPECT_EQ(sw.data.barriers, kPinnedWireBarriers);
+      EXPECT_EQ(sw.data.frames_sent,
+                (kPinnedWireBarriers + runs) * (shards - 1));
+      EXPECT_EQ(sw.data.frames_received, sw.data.frames_sent);
+      EXPECT_EQ(sw.control_frames, 1 + runs + 1);
+    }
+  }
+}
+
 TEST(BarrierSchedule, PinnedPerStepInProcWithStealing) {
   if (!obs::kTelemetryCompiled) GTEST_SKIP() << "telemetry compiled out";
   const std::uint64_t n = 192;
@@ -386,6 +438,35 @@ TEST(BarrierSchedule, PinnedPerStepInProcWithStealing) {
 
   EXPECT_EQ(per_worker, 2 * steps + core_schedule(steps, inproc.phases()));
   EXPECT_EQ(per_worker, kPinnedInProcStealBarriers);
+}
+
+// A shard that crosses one allgather more than its peers is convicted on
+// the data links, since the coordinator no longer sees the schedule: both
+// shards name themselves, the peer and the crossing, and the coordinator
+// reaps every child before it aborts. The test process is made the
+// subreaper, so a shard left running would be its child here.
+TEST(TransportDeathTest, ExtraCrossingConvictedOnTheDataLinks) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  ASSERT_EQ(::prctl(PR_SET_CHILD_SUBREAPER, 1), 0);
+  ShardRunConfig cfg = make_cfg(192, 1, 2, WhichModel::kSingle);
+  cfg.extra_crossing_step = 8;  // shard 1, the last step of the run below
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_DEATH(
+      {
+        ::alarm(60);  // a hang dies by SIGALRM, which the regex rejects
+        ProcessRuntime pr(cfg, WireKind::kUds);
+        pr.run(8);
+      },
+      "shard 1 at crossing [0-9]+ received from shard 0 an end-of-run mark "
+      "after [0-9]+ crossings where a kBatch was due"
+      ".*shard [01] died during run\\(\\); reaped every shard: "
+      "0=signal 6 1=signal 6");
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(60));
+  int status = 0;
+  errno = 0;
+  EXPECT_EQ(::waitpid(-1, &status, WNOHANG), -1) << "a shard outlived the run";
+  EXPECT_EQ(errno, ECHILD);
+  ASSERT_EQ(::prctl(PR_SET_CHILD_SUBREAPER, 0), 0);
 }
 
 }  // namespace

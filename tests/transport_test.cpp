@@ -145,8 +145,8 @@ TEST(FrameCodec, OversizedLengthConvicted) {
 
 TEST(FrameReaderTest, ReassemblesSplitFeeds) {
   FrameReader reader;
-  const auto w1 = encode_frame(FrameType::kBarrier, 1, bytes({1, 2}));
-  const auto w2 = encode_frame(FrameType::kRelease, 2, bytes({3, 4, 5}));
+  const auto w1 = encode_frame(FrameType::kBatch, 1, bytes({1, 2}));
+  const auto w2 = encode_frame(FrameType::kRunEnd, 2, bytes({3, 4, 5}));
   std::vector<std::uint8_t> stream = w1;
   stream.insert(stream.end(), w2.begin(), w2.end());
 
@@ -158,10 +158,10 @@ TEST(FrameReaderTest, ReassemblesSplitFeeds) {
     while (reader.next(f) == DecodeStatus::kOk) {
       ++got;
       if (got == 1) {
-        EXPECT_EQ(f.type, FrameType::kBarrier);
+        EXPECT_EQ(f.type, FrameType::kBatch);
         EXPECT_EQ(f.payload, bytes({1, 2}));
       } else {
-        EXPECT_EQ(f.type, FrameType::kRelease);
+        EXPECT_EQ(f.type, FrameType::kRunEnd);
         EXPECT_EQ(f.payload, bytes({3, 4, 5}));
       }
     }
@@ -270,6 +270,7 @@ TEST(PayloadCodec, ShardRunConfigRoundTrip) {
   c.spin_work = 5;
   c.track_sojourn = true;
   c.corrupt_transfer_frame = 7;
+  c.extra_crossing_step = 12;
   models::BurstConfig bc;
   bc.period = 16;
   bc.burst_rate = 6;
@@ -293,6 +294,7 @@ TEST(PayloadCodec, ShardRunConfigRoundTrip) {
   EXPECT_EQ(back.spin_work, c.spin_work);
   EXPECT_EQ(back.track_sojourn, c.track_sojourn);
   EXPECT_EQ(back.corrupt_transfer_frame, c.corrupt_transfer_frame);
+  EXPECT_EQ(back.extra_crossing_step, c.extra_crossing_step);
   EXPECT_EQ(back.model.kind, ModelSpec::Kind::kBurst);
   EXPECT_EQ(back.model.burst.period, 16u);
   EXPECT_EQ(back.model.burst.burst_rate, 6u);
@@ -322,9 +324,10 @@ TEST(PayloadCodec, ShardStateRoundTrip) {
   ps.heavy_procs = {10, 11};
   ps.completed = true;
   s.phases.push_back(ps);
-  s.wire.bytes_sent = 123;
-  s.wire.barriers = 9;
-  s.wire.barrier_rtt_us.add(15, 3);
+  s.data_wire.bytes_sent = 123;
+  s.data_wire.barriers = 9;
+  s.data_wire.barrier_rtt_us.add(15, 3);
+  s.control_wire.frames_sent = 5;
 
   Writer w;
   s.serialize(w);
@@ -349,8 +352,11 @@ TEST(PayloadCodec, ShardStateRoundTrip) {
   ASSERT_EQ(back.phases.size(), 1u);
   EXPECT_EQ(back.phases[0].matched, 2u);
   EXPECT_EQ(back.phases[0].heavy_procs, (std::vector<std::uint32_t>{10, 11}));
-  EXPECT_EQ(back.wire.bytes_sent, 123u);
-  EXPECT_EQ(back.wire.barrier_rtt_us.total(), 3u);
+  EXPECT_EQ(back.data_wire.bytes_sent, 123u);
+  EXPECT_EQ(back.data_wire.barriers, 9u);
+  EXPECT_EQ(back.data_wire.barrier_rtt_us.total(), 3u);
+  EXPECT_EQ(back.control_wire.frames_sent, 5u);
+  EXPECT_EQ(back.control_wire.barriers, 0u);
 }
 
 // ---------------------------------------------------------------------------
